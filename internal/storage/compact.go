@@ -491,8 +491,6 @@ func (s *Store) readSegmentUncached(name string, ref SegmentRef) (*table.Table, 
 		return nil, err
 	}
 	metBytesReadFull.Add(seg.FileBytes)
-	s.mu.Lock()
-	s.bytesRead += seg.FileBytes
-	s.mu.Unlock()
+	s.bytesRead.Add(seg.FileBytes)
 	return seg.Table, nil
 }

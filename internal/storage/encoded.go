@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 
 	"nexus/internal/schema"
 	"nexus/internal/table"
@@ -16,7 +19,10 @@ import (
 // shared-dict page the dictionary entries plus per-row codes (the
 // constant is compared against each distinct entry once, then rows are
 // filtered by a table lookup on their code — no string comparison per
-// row). Rows that survive every conjunct are materialized selectively.
+// row), for a plain int64/float64 page the verified payload bytes
+// themselves. Fixed-width payloads (plain values, dictionary codes) stay
+// big-endian bytes: a predicate reads them in place, and only rows that
+// survive every conjunct are ever decoded.
 //
 // Correctness contract: AndMatches must agree exactly with what the
 // vectorized expression kernels would compute on the materialized
@@ -29,8 +35,9 @@ import (
 // EncodedColumn is one column page in its encoded form. Exactly one
 // representation is populated, per enc:
 //
-//	PageEncPlain                  col
-//	PageEncDict/PageEncDictShared dict + codes + valid
+//	PageEncPlain                  col (bool/string pages, wrapped columns)
+//	                              or raw + valid (int64/float64 pages)
+//	PageEncDict/PageEncDictShared dict + raw + valid
 //	PageEncRLE                    runLens + runVals
 type EncodedColumn struct {
 	kind value.Kind
@@ -39,8 +46,11 @@ type EncodedColumn struct {
 
 	col *table.Column // plain: already materialized
 
+	// raw is the fixed-width part of the payload as read from disk,
+	// big-endian, length-checked at parse: rows×8 values on a plain page,
+	// rows×4 codes (bounds-checked for non-null rows) on a dict page.
+	raw   []byte
 	dict  *table.Column // dict entries, indexed by code
-	codes []uint32      // per-row codes (bounds-checked at parse)
 	valid []bool        // nil = all valid
 
 	runLens []int         // per-run lengths (positive, sum = rows)
@@ -75,8 +85,9 @@ func encodedFromColumn(col *table.Column) *EncodedColumn {
 }
 
 // parsePageEncoded parses one page into its encoded view without
-// materializing rows. Framing, CRCs, and code bounds are verified
-// exactly as decodePage does.
+// materializing rows: the single page parser — CRC, framing, exact
+// payload lengths and code bounds are all verified here, and decodePage
+// is this plus Materialize.
 func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, error) {
 	enc, rows, d, err := parsePageHeader(b)
 	if err != nil {
@@ -85,13 +96,13 @@ func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, e
 	ec := &EncodedColumn{kind: kind, rows: rows, enc: enc}
 	switch enc {
 	case PageEncPlain:
-		ec.col, err = getPlainPayload(d, kind, rows)
+		ec.col, ec.raw, ec.valid, err = getPlainPayload(d, kind, rows)
 	case PageEncDict:
-		ec.dict, ec.codes, ec.valid, err = getDictEncoded(d, kind, rows)
+		ec.dict, ec.raw, ec.valid, err = getDictEncoded(d, kind, rows)
 	case PageEncRLE:
 		ec.runLens, ec.runVals, err = getRLERuns(d, kind, rows)
 	case PageEncDictShared:
-		ec.dict, ec.codes, ec.valid, err = getDictSharedEncoded(d, kind, rows, ctx)
+		ec.dict, ec.raw, ec.valid, err = getDictSharedEncoded(d, kind, rows, ctx)
 	default:
 		return nil, fmt.Errorf("storage: unknown column page encoding %d", enc)
 	}
@@ -108,6 +119,22 @@ func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, e
 		return nil, fmt.Errorf("storage: %s page decoded %d rows, header says %d", encodingName(enc), ec.col.Len(), rows)
 	}
 	return ec, nil
+}
+
+// code returns row r's dictionary code (dict and shared-dict pages).
+func (ec *EncodedColumn) code(r int) uint32 { return binary.BigEndian.Uint32(ec.raw[4*r:]) }
+
+// plainValue boxes row r of a plain page or wrapped column.
+func (ec *EncodedColumn) plainValue(r int) value.Value {
+	switch {
+	case ec.col != nil:
+		return ec.col.Value(r)
+	case ec.valid != nil && !ec.valid[r]:
+		return value.Null
+	case ec.kind == value.KindInt64:
+		return value.NewInt(int64(binary.BigEndian.Uint64(ec.raw[8*r:])))
+	}
+	return value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(ec.raw[8*r:])))
 }
 
 // cmpHoldsEnc mirrors the expression kernels' comparison dispatch
@@ -132,12 +159,13 @@ func cmpHoldsEnc(op value.BinOp, c int) bool {
 }
 
 // AndMatches ANDs `row op val` into acc (len acc == Rows()): acc[r] is
-// cleared wherever the predicate does not hold; rows already false are
-// skipped. NULL rows compare as value.Null under the total order, which
+// cleared wherever the predicate does not hold and never set. NULL rows
+// compare as value.Null under the total order, which
 // is exactly what the vectorized kernels do on a materialized column.
 //
 // Cost: one value.Compare per RLE run, one per distinct dictionary
-// entry, one per still-live row on plain pages.
+// entry, and on plain pages one typed range test per row read straight
+// from the payload bytes (andPlain).
 func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool) {
 	switch ec.enc {
 	case PageEncRLE:
@@ -155,84 +183,171 @@ func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool)
 		for c := range verdict {
 			verdict[c] = cmpHoldsEnc(op, value.Compare(ec.dict.Value(c), val))
 		}
-		nullVerdict := cmpHoldsEnc(op, value.Compare(value.Null, val))
+		codes := ec.raw[:4*len(acc)]
 		if ec.valid == nil {
-			for r, c := range ec.codes {
-				if acc[r] && !verdict[c] {
-					acc[r] = false
-				}
+			// Which rows match is rarely predictable; keep the store
+			// unconditional so there is no branch to mispredict.
+			for r := range acc {
+				hold := verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])]
+				acc[r] = acc[r] && hold
 			}
 			return
 		}
-		for r, c := range ec.codes {
-			if !acc[r] {
-				continue
-			}
-			v := nullVerdict
-			if ec.valid[r] {
-				v = verdict[c]
-			}
-			if !v {
+		for r, ok := range ec.valid {
+			if ok && !verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])] {
 				acc[r] = false
 			}
 		}
+		andNulls(ec.valid, op, val, acc)
 	default: // plain (and wrapped columns)
-		for r := 0; r < ec.rows; r++ {
-			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.col.Value(r), val)) {
+		ec.andPlain(op, val, acc)
+	}
+}
+
+// andNulls applies the predicate's verdict on NULL to the NULL rows,
+// which the typed loops skip.
+func andNulls(valid []bool, op value.BinOp, val value.Value, acc []bool) {
+	if valid == nil || cmpHoldsEnc(op, value.Compare(value.Null, val)) {
+		return
+	}
+	for r, ok := range valid {
+		if !ok {
+			acc[r] = false
+		}
+	}
+}
+
+// andPlain is AndMatches on a plain page or wrapped column. Numeric
+// columns against numeric constants and strings against strings — the
+// comparisons scans are made of — run as typed loops, over the raw
+// payload when the page is undecoded. value.Compare orders int64 against
+// int64 exactly and every other numeric pair as floats, and every
+// operator over such an order is membership in (or outside) one closed
+// range, so a loop is one range test per row. Everything else (bool
+// columns, cross-kind and NULL constants, a NaN constant, which the
+// total order places below every number) takes the boxed comparison.
+func (ec *EncodedColumn) andPlain(op value.BinOp, val value.Value, acc []bool) {
+	valid := ec.valid
+	if ec.col != nil {
+		valid = ec.col.Validity()
+	}
+	c, numeric := val.AsFloat()
+	switch {
+	case ec.kind == value.KindInt64 && val.Kind() == value.KindInt64:
+		lo, hi, outside := opRange(op, val.Int(), math.MaxInt64, val.Int()+1)
+		if ec.col != nil {
+			andRange(ec.col.Ints(), valid, lo, hi, outside, acc)
+		} else {
+			andRangeRaw(ec.raw, false, valid, lo, hi, outside, acc)
+		}
+	case (ec.kind == value.KindInt64 || ec.kind == value.KindFloat64) && numeric && c == c:
+		lo, hi, outside := opRange(op, c, math.Inf(1), math.Nextafter(c, math.Inf(1)))
+		switch {
+		case ec.col == nil:
+			andRangeRaw(ec.raw, ec.kind == value.KindFloat64, valid, lo, hi, outside, acc)
+		case ec.kind == value.KindInt64:
+			andRange(ec.col.Ints(), valid, lo, hi, outside, acc)
+		default:
+			andRange(ec.col.Floats(), valid, lo, hi, outside, acc)
+		}
+	case ec.kind == value.KindString && val.Kind() == value.KindString:
+		s := val.Str()
+		for r, v := range ec.col.Strs() {
+			if acc[r] && (valid == nil || valid[r]) && !cmpHoldsEnc(op, strings.Compare(v, s)) {
 				acc[r] = false
 			}
+		}
+	default:
+		for r := range acc {
+			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.plainValue(r), val)) {
+				acc[r] = false
+			}
+		}
+		return
+	}
+	andNulls(valid, op, val, acc)
+}
+
+// opRange turns `x op c` into membership in the closed range [lo, hi]
+// or — outside set — in its complement (`x < c` is "not x >= c"); an
+// empty range is lo > hi. top is the order's greatest value and next the
+// successor of c (unused when c is top). For floats this is the NaN-first
+// order with a non-NaN c: NaN rows sit below everything, so they are
+// outside every range the native comparison can express and inside every
+// complement — exactly where `<`, `<=` and `!=` put them.
+func opRange[R int64 | float64](op value.BinOp, c, top, next R) (lo, hi R, outside bool) {
+	switch op {
+	case value.OpEq, value.OpNe:
+		return c, c, op == value.OpNe
+	case value.OpGe, value.OpLt:
+		return c, top, op == value.OpLt
+	}
+	// OpGt, and OpLe as "not x > c".
+	if c == top {
+		return 1, 0, op == value.OpLe
+	}
+	return next, top, op == value.OpLe
+}
+
+// andRange clears acc[r] for every valid row whose value, converted to
+// the range's type the way value.Compare converts it, falls on the wrong
+// side of [lo, hi].
+func andRange[T, R int64 | float64](vals []T, valid []bool, lo, hi R, outside bool, acc []bool) {
+	vals = vals[:len(acc)]
+	for r := range acc {
+		if x := R(vals[r]); (x >= lo && x <= hi) == outside && (valid == nil || valid[r]) {
+			acc[r] = false
+		}
+	}
+}
+
+// andRangeRaw is andRange over an undecoded rows×8 big-endian payload of
+// int64s or (floats set) float64s.
+func andRangeRaw[R int64 | float64](raw []byte, floats bool, valid []bool, lo, hi R, outside bool, acc []bool) {
+	raw = raw[:8*len(acc)]
+	for r := range acc {
+		bits := binary.BigEndian.Uint64(raw[8*r : 8*r+8])
+		x := R(int64(bits))
+		if floats {
+			x = R(math.Float64frombits(bits))
+		}
+		if (x >= lo && x <= hi) == outside && (valid == nil || valid[r]) {
+			acc[r] = false
 		}
 	}
 }
 
 // Materialize decodes the full page to a plain column.
 func (ec *EncodedColumn) Materialize() (*table.Column, error) {
-	switch ec.enc {
-	case PageEncRLE:
-		return fillRuns(ec.kind, ec.runLens, ec.runVals, ec.rows)
-	case PageEncDict, PageEncDictShared:
-		return materializeDict(ec.dict, ec.codes, ec.valid), nil
-	default:
-		return ec.col, nil
-	}
+	return ec.materialize(nil)
 }
 
 // MaterializeRows decodes only the selected rows (sel strictly
 // ascending, every index < Rows()) to a plain column — the selective
 // half of encoded execution: rows a predicate rejected are never
-// materialized.
+// decoded.
 func (ec *EncodedColumn) MaterializeRows(sel []int) (*table.Column, error) {
-	switch ec.enc {
-	case PageEncRLE:
-		return ec.gatherRuns(sel)
-	case PageEncDict, PageEncDictShared:
-		codes := make([]uint32, len(sel))
-		var valid []bool
-		if ec.valid != nil {
-			valid = make([]bool, len(sel))
-			for i, r := range sel {
-				codes[i] = ec.codes[r]
-				valid[i] = ec.valid[r]
-			}
-			allValid := true
-			for _, v := range valid {
-				if !v {
-					allValid = false
-					break
-				}
-			}
-			if allValid {
-				valid = nil
-			}
-		} else {
-			for i, r := range sel {
-				codes[i] = ec.codes[r]
-			}
-		}
-		return materializeDict(ec.dict, codes, valid), nil
-	default:
-		return ec.col.Gather(sel), nil
+	if sel == nil {
+		sel = []int{}
 	}
+	return ec.materialize(sel)
+}
+
+// materialize decodes the rows in sel, or every row when sel is nil.
+func (ec *EncodedColumn) materialize(sel []int) (*table.Column, error) {
+	switch {
+	case ec.enc == PageEncRLE && sel == nil:
+		return fillRuns(ec.kind, ec.runLens, ec.runVals, ec.rows)
+	case ec.enc == PageEncRLE:
+		return ec.gatherRuns(sel)
+	case ec.enc == PageEncDict || ec.enc == PageEncDictShared:
+		return materializeDict(ec.dict, ec.raw, ec.valid, sel), nil
+	case ec.col == nil:
+		return materializeFixed(ec.kind, ec.raw, ec.valid, sel), nil
+	case sel == nil:
+		return ec.col, nil
+	}
+	return ec.col.Gather(sel), nil
 }
 
 // gatherRuns materializes selected rows of an RLE page by walking runs

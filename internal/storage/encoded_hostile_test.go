@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -157,6 +159,145 @@ func TestHostilePrivateDictPage(t *testing.T) {
 	// A private-dict page carries its entries inline; the codes are the
 	// trailing u32s. Point the last row past the 3-entry dictionary.
 	mustFailPage(t, tamperedPage(page, len(page)-8, 12345), value.KindString, ctx, "private dict code out of range")
+}
+
+// TestHostileFixedWidthPayload covers the lengths a lazy view trusts
+// for as long as it lives: a plain int64/float64 payload must be exactly
+// rows×8 bytes and a dict code array exactly rows×4, or every later
+// in-place read would run off the page.
+func TestHostileFixedWidthPayload(t *testing.T) {
+	const rows = 80
+	ints, floats, codes := make([]int64, rows), make([]float64, rows), make([]int64, rows)
+	for i := range ints {
+		ints[i], floats[i], codes[i] = int64(i*i), float64(i)/4, int64(i%5)
+	}
+	for _, c := range []struct {
+		name string
+		col  *table.Column
+		enc  uint8
+	}{
+		{"plain int64", table.IntColumn(ints), PageEncPlain},
+		{"plain float64", table.FloatColumn(floats), PageEncPlain},
+		{"dict int64", table.IntColumn(codes), PageEncDict},
+	} {
+		kind, ctx := c.col.Kind(), pageCtx{col: "c"}
+		page := encodePage(c.col, c.enc, nil)
+		ec, err := parsePageEncoded(page, kind, ctx)
+		if err != nil {
+			t.Fatalf("%s: control parse: %v", c.name, err)
+		}
+		if ec.raw == nil {
+			t.Fatalf("%s: control page did not stay lazy", c.name)
+		}
+		// The header's row count is the u32 at offset 2: one row more or
+		// fewer than the payload holds.
+		for _, claim := range []uint32{rows + 1, rows - 1, 0, 1 << 31} {
+			mustFailPage(t, tamperedPage(page, 2, claim), kind, ctx, fmt.Sprintf("%s claiming %d rows", c.name, claim))
+		}
+		// A payload grown or shrunk by a few bytes, with the header's
+		// payloadLen (u32 at offset 6) and the CRC kept consistent.
+		body, width := page[:len(page)-4], len(page)-4-pageHeaderLen
+		for _, delta := range []int{-8, -4, -1, 1, 4, 8} {
+			p := append([]byte(nil), body...)
+			if delta < 0 {
+				p = p[:len(p)+delta]
+			} else {
+				p = append(p, make([]byte, delta)...)
+			}
+			binary.BigEndian.PutUint32(p[6:], uint32(width+delta))
+			p = append(p, 0, 0, 0, 0)
+			restampPage(p)
+			mustFailPage(t, p, kind, ctx, fmt.Sprintf("%s payload %+d bytes", c.name, delta))
+		}
+	}
+}
+
+// TestHostileNullPlaceholderCode: a NULL row's code is a placeholder no
+// reader may dereference — even one far outside the dictionary must
+// leave filtering and (selective) materialization correct, on the lazy
+// code array exactly as on the decoded one.
+func TestHostileNullPlaceholderCode(t *testing.T) {
+	const rows = 80
+	b := table.NewBuilder(rowsTable(0, 1).Schema().Project([]int{1}), rows)
+	for i := 0; i < rows; i++ {
+		if i == rows-1 || i%9 == 4 {
+			b.MustAppend(value.Null)
+		} else {
+			b.MustAppend(value.NewString([]string{"x", "y", "z"}[i%3]))
+		}
+	}
+	col := b.Build().Col(0)
+	page := encodePage(col, PageEncDict, nil)
+	page = tamperedPage(page, len(page)-8, 0xfffffff0) // the last row, a NULL
+	ec, err := parsePageEncoded(page, value.KindString, pageCtx{col: "s"})
+	if err != nil {
+		t.Fatalf("placeholder code on a NULL row rejected: %v", err)
+	}
+	for _, op := range diffOps {
+		for _, cv := range []value.Value{value.NewString("y"), value.Null} {
+			acc := make([]bool, rows)
+			for i := range acc {
+				acc[i] = true
+			}
+			ec.AndMatches(op, cv, acc)
+			for r := range acc {
+				if want := opHolds(op, col.Value(r), cv); acc[r] != want {
+					t.Fatalf("row %d (%v %v %v) = %v, want %v", r, col.Value(r), op, cv, acc[r], want)
+				}
+			}
+		}
+	}
+	full, err := ec.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	colEq(t, col, full, "materialize")
+	sel := []int{0, 4, 40, rows - 1}
+	got, err := ec.MaterializeRows(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colEq(t, col.Gather(sel), got, "materialize rows")
+}
+
+// TestHostileDirectoryShortFile: the projected reader no longer stats
+// the file, so a directory entry reaching past the end of the file must
+// fail on the short read — for a small page, for one longer than the
+// reader allocates unprobed, and for a run of adjacent pages whose last
+// member is cut off.
+func TestHostileDirectoryShortFile(t *testing.T) {
+	data := EncodeSegment(lowCardTable(130))
+	all := []int{0, 1, 2}
+	if _, err := readSegmentEncoded(bytes.NewReader(data), all, nil, newWorkGroup()); err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	for _, cut := range []int{1, 5, 64, 400} {
+		if _, err := readSegmentEncoded(bytes.NewReader(data[:len(data)-cut]), all, nil, newWorkGroup()); err == nil {
+			t.Fatalf("file cut by %d bytes read successfully", cut)
+		}
+	}
+	// Rewrite the last column's directory entry to claim a page of
+	// maxBlindRead+1 bytes, meta CRC re-stamped.
+	metaLen := headerMetaLen(data)
+	_, _, refs, err := decodeSegmentMetaV2(data[segHeaderLen:], metaLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := append([]byte(nil), data...)
+	meta := hostile[segHeaderLen : segHeaderLen+metaLen]
+	last := refs[len(refs)-1]
+	want := make([]byte, pageDirEntryLen)
+	binary.BigEndian.PutUint64(want, uint64(last.off))
+	binary.BigEndian.PutUint32(want[8:], uint32(last.length))
+	at := bytes.LastIndex(meta, want)
+	if at < 0 {
+		t.Fatal("directory entry not found in meta block")
+	}
+	binary.BigEndian.PutUint32(meta[at+8:], maxBlindRead+1)
+	binary.BigEndian.PutUint32(hostile[segHeaderLen+metaLen:], crc32.ChecksumIEEE(meta))
+	if _, err := readSegmentEncoded(bytes.NewReader(hostile), all, nil, newWorkGroup()); err == nil {
+		t.Fatal("directory entry past the end of the file read successfully")
+	}
 }
 
 // TestHostileManifestTruncation feeds DecodeManifest every prefix of a

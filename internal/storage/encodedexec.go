@@ -49,66 +49,47 @@ func (e *Engine) EncodedScans() int64 { return e.encodedScans.Load() }
 // served without materializing the dataset.
 func (e *Engine) EncodedAggs() int64 { return e.encodedAggs.Load() }
 
-// encodedMatches ANDs every conjunct over the part's encoded columns.
-// ok=false means a predicate column is missing from the projected
-// schema — the caller must fall back, never silently skip a conjunct.
-func encodedMatches(sch schema.Schema, cols []*EncodedColumn, preds []planner.ScanPred) ([]bool, bool) {
-	if len(cols) == 0 {
-		return nil, false
-	}
+// encodedMatches ANDs every conjunct over the part's encoded columns
+// (at least one; every conjunct's column must be in sch — callers check
+// both once per query, not per part).
+func encodedMatches(sch schema.Schema, cols []*EncodedColumn, preds []planner.ScanPred) []bool {
 	match := make([]bool, cols[0].Rows())
 	for i := range match {
 		match[i] = true
 	}
 	for _, p := range preds {
-		i := sch.IndexOf(p.Col)
-		if i < 0 {
-			return nil, false
-		}
-		cols[i].AndMatches(p.Op, p.Val, match)
+		cols[sch.IndexOf(p.Col)].AndMatches(p.Op, p.Val, match)
 	}
-	return match, true
+	return match
 }
 
 // encodedFilterTable materializes only the rows of an encoded segment
-// that pass every conjunct. ok=false falls back to the decoding read.
-func encodedFilterTable(es *EncodedSegment, preds []planner.ScanPred) (*table.Table, bool, error) {
-	match, ok := encodedMatches(es.Schema, es.Cols, preds)
-	if !ok {
-		return nil, false, nil
-	}
+// that pass every conjunct.
+func encodedFilterTable(es *EncodedSegment, preds []planner.ScanPred) (*table.Table, error) {
+	match := encodedMatches(es.Schema, es.Cols, preds)
 	n := 0
 	for _, m := range match {
 		if m {
 			n++
 		}
 	}
-	cols := make([]*table.Column, len(es.Cols))
-	var err error
-	if n == len(match) {
-		for i, ec := range es.Cols {
-			if cols[i], err = ec.Materialize(); err != nil {
-				return nil, false, err
-			}
-		}
-	} else {
-		sel := make([]int, 0, n)
+	var sel []int // nil selects every row
+	if n < len(match) {
+		sel = make([]int, 0, n)
 		for r, m := range match {
 			if m {
 				sel = append(sel, r)
 			}
 		}
-		for i, ec := range es.Cols {
-			if cols[i], err = ec.MaterializeRows(sel); err != nil {
-				return nil, false, err
-			}
+	}
+	cols := make([]*table.Column, len(es.Cols))
+	for i, ec := range es.Cols {
+		var err error
+		if cols[i], err = ec.materialize(sel); err != nil {
+			return nil, err
 		}
 	}
-	t, err := table.New(es.Schema, cols)
-	if err != nil {
-		return nil, false, err
-	}
-	return t, true, nil
+	return table.New(es.Schema, cols)
 }
 
 // encodedAgg serves a GroupAgg over a cold scan directly from encoded
@@ -134,14 +115,19 @@ func (e *Engine) encodedAgg(n core.Node) (*table.Table, bool, error) {
 // aggTable runs the encoded grouped-aggregate kernel over one
 // consistent snapshot of the dataset: manifest segments in order (zone
 // pruning applies — the conjunction is exact, so an excluded segment
-// contributes no rows), then the unflushed tail.
+// contributes no rows), then the unflushed tail. Reading, verifying,
+// parsing and filtering a segment is independent of every other, so
+// the surviving segments go through that side by side on one work
+// group; the fold into groups then runs over them in manifest order on
+// the caller, which keeps group order and float sums exactly those of
+// a sequential scan.
 func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*table.Table, bool, error) {
 	name := agg.Scan.Dataset
 	var out *table.Table
 	unservable := false
 	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
 		sch, _ := e.st.Schema(name)
-		if !sch.Equal(agg.Scan.Schema()) {
+		if !sch.Equal(agg.Scan.Schema()) || len(agg.Cols) == 0 {
 			unservable = true
 			return nil
 		}
@@ -172,45 +158,43 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 				}
 			}
 		}
+		for _, p := range agg.Preds {
+			if proj.IndexOf(p.Col) < 0 {
+				unservable = true
+				return nil
+			}
+		}
 
-		st := newEncAggState(agg.Aggs, keyIdx >= 0)
-		scanned, skipped := int64(0), int64(0)
-		for _, ref := range refs {
-			if !segMayMatch(sch, ref, agg.Preds) {
-				skipped++
-				continue
+		live, skipped := pruneSegments(sch, refs, agg.Preds)
+		segs := make([]*EncodedSegment, len(live))
+		matches := make([][]bool, len(live))
+		g := newWorkGroup()
+		err := g.forEach(len(live), func(i int) (err error) {
+			if segs[i], err = e.st.readSegmentEncoded(g, name, live[i], positions); err == nil && segs[i].Meta.Rows > 0 {
+				matches[i] = encodedMatches(proj, segs[i].Cols, agg.Preds)
 			}
-			es, err := e.st.ReadSegmentEncoded(name, ref, positions)
-			if err != nil {
-				return err
-			}
-			if !st.addPart(proj, es.Cols, keyIdx, argIdx, agg.Preds) {
-				unservable = true
-				return nil
-			}
-			scanned++
-		}
-		e.segmentsScanned.Add(scanned)
-		e.segmentsSkipped.Add(skipped)
-		metSegScanned.Add(scanned)
-		metSegPruned.Add(skipped)
-		for _, p := range parts {
-			p = p.Project(positions)
-			ecols := make([]*EncodedColumn, p.NumCols())
-			for i := range ecols {
-				ecols[i] = encodedFromColumn(p.Col(i))
-			}
-			if !st.addPart(proj, ecols, keyIdx, argIdx, agg.Preds) {
-				unservable = true
-				return nil
-			}
-		}
-		t, err := st.build(outSchema, len(agg.Keys))
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		out = t
-		return nil
+		e.countSegments(len(live), skipped)
+		st := newEncAggState(agg.Aggs, keyIdx >= 0)
+		for i, es := range segs {
+			st.addPart(es.Cols, matches[i], keyIdx, argIdx)
+		}
+		for _, p := range parts {
+			if p.NumRows() == 0 {
+				continue
+			}
+			ecols := make([]*EncodedColumn, len(positions))
+			for i, c := range positions {
+				ecols[i] = encodedFromColumn(p.Col(c))
+			}
+			st.addPart(ecols, encodedMatches(proj, ecols, agg.Preds), keyIdx, argIdx)
+		}
+		out, err = st.build(outSchema, len(agg.Keys))
+		return err
 	})
 	if errors.Is(err, errNoDataset) || unservable {
 		return nil, false, nil
@@ -269,29 +253,15 @@ func (st *encAggState) group(key value.Value) int32 {
 	return g
 }
 
-// addPart folds one part (segment or tail chunk) into the running
-// groups: filter via encoded conjuncts, assign group ids at run/code
-// granularity, fold each aggregate column. false means a predicate
-// column was missing — the caller falls back to the generic path.
-func (st *encAggState) addPart(sch schema.Schema, cols []*EncodedColumn, keyIdx int, argIdx []int, preds []planner.ScanPred) bool {
-	if len(cols) == 0 {
-		return false
-	}
-	rows := cols[0].Rows()
-	if rows == 0 {
-		return true
-	}
-	match, ok := encodedMatches(sch, cols, preds)
-	if !ok {
-		return false
-	}
+// addPart folds one part (segment or tail chunk), already filtered to
+// match (nil for a part without rows), into the running groups: assign
+// group ids at run/code granularity, fold each aggregate column.
+func (st *encAggState) addPart(cols []*EncodedColumn, match []bool, keyIdx int, argIdx []int) {
 	// Per-row group ids; -1 marks rows the filter removed.
-	gids := make([]int32, rows)
+	gids := make([]int32, len(match))
 	if keyIdx < 0 {
 		for r, m := range match {
-			if m {
-				gids[r] = 0
-			} else {
+			if !m {
 				gids[r] = -1
 			}
 		}
@@ -310,7 +280,6 @@ func (st *encAggState) addPart(sch schema.Schema, cols []*EncodedColumn, keyIdx 
 		}
 		st.fold(cols[ai], gids, j)
 	}
-	return true
 }
 
 // assignGids computes each surviving row's group id from the key
@@ -355,7 +324,7 @@ func (st *encAggState) assignGids(key *EncodedColumn, match []bool, gids []int32
 				gids[r] = nullGid
 				continue
 			}
-			c := key.codes[r]
+			c := key.code(r)
 			if codeGid[c] == unresolved {
 				codeGid[c] = st.group(key.dict.Value(int(c)))
 			}
@@ -367,7 +336,7 @@ func (st *encAggState) assignGids(key *EncodedColumn, match []bool, gids []int32
 				gids[r] = -1
 				continue
 			}
-			gids[r] = st.group(key.col.Value(r))
+			gids[r] = st.group(key.plainValue(r))
 		}
 	}
 }
@@ -413,14 +382,14 @@ func (st *encAggState) fold(col *EncodedColumn, gids []int32, j int) {
 					entries[c] = col.dict.Value(c)
 				}
 			}
-			st.accs[g][j].Add(entries[col.codes[r]])
+			st.accs[g][j].Add(entries[col.code(r)])
 		}
 	default:
 		for r, g := range gids {
 			if g < 0 {
 				continue
 			}
-			st.accs[g][j].Add(col.col.Value(r))
+			st.accs[g][j].Add(col.plainValue(r))
 		}
 	}
 }

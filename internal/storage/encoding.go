@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"nexus/internal/table"
 	"nexus/internal/value"
@@ -63,19 +65,6 @@ const dictMaxEntries = 1 << 16
 // above it — and 2^27 rows is far beyond any segment the flush/compact
 // size thresholds produce.
 const maxRLERows = 1 << 27
-
-// minValueWidth is the smallest possible encoded size of one value of
-// the kind — the bound the page decoders use to reject hostile row
-// counts before allocating.
-func minValueWidth(kind value.Kind) int64 {
-	switch kind {
-	case value.KindBool:
-		return 1
-	case value.KindString:
-		return 4 // u32 length prefix of an empty string
-	}
-	return 8 // int64 / float64
-}
 
 // encodingName reports a page encoding for error messages and stats.
 func encodingName(enc uint8) string {
@@ -221,7 +210,7 @@ func encodePage(col *table.Column, enc uint8, dict *SharedDict) []byte {
 	var payload wire.Encoder
 	switch enc {
 	case PageEncPlain:
-		putPlainPayload(&payload, col)
+		wire.PutColumn(&payload, col)
 	case PageEncDict:
 		putDictPayload(&payload, col)
 	case PageEncRLE:
@@ -273,129 +262,84 @@ func parsePageHeader(b []byte) (enc uint8, rows int, payload *wire.Decoder, err 
 // trailing CRC) must be the input. In structural mode a shared-dict page
 // returns a nil column after its framing and code bounds are verified.
 func decodePage(b []byte, kind value.Kind, ctx pageCtx) (*table.Column, error) {
-	enc, rows, d, err := parsePageHeader(b)
+	ec, err := parsePageEncoded(b, kind, ctx)
 	if err != nil {
 		return nil, err
 	}
-	var col *table.Column
-	switch enc {
-	case PageEncPlain:
-		col, err = getPlainPayload(d, kind, rows)
-	case PageEncDict:
-		var dict *table.Column
-		var codes []uint32
-		var valid []bool
-		dict, codes, valid, err = getDictEncoded(d, kind, rows)
-		if err == nil {
-			col = materializeDict(dict, codes, valid)
-		}
-	case PageEncRLE:
-		var lens []int
-		var vals []value.Value
-		lens, vals, err = getRLERuns(d, kind, rows)
-		if err == nil {
-			col, err = fillRuns(kind, lens, vals, rows)
-		}
-	case PageEncDictShared:
-		var entries *table.Column
-		var codes []uint32
-		var valid []bool
-		entries, codes, valid, err = getDictSharedEncoded(d, kind, rows, ctx)
-		if err == nil && !ctx.structural {
-			col = materializeDict(entries, codes, valid)
-		}
-	default:
-		return nil, fmt.Errorf("storage: unknown column page encoding %d", enc)
+	if ec.enc == PageEncDictShared && ctx.structural {
+		return nil, nil // verified, not materialized
 	}
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("storage: %s page: %w", encodingName(enc), err)
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("storage: %s page has %d trailing bytes", encodingName(enc), d.Remaining())
-	}
-	if col == nil {
-		return nil, nil // structural shared-dict page: verified, not materialized
-	}
-	if col.Len() != rows {
-		return nil, fmt.Errorf("storage: %s page decoded %d rows, header says %d", encodingName(enc), col.Len(), rows)
-	}
-	return col, nil
+	return ec.Materialize()
 }
 
 // ---------------------------------------------------------------------------
-// Plain: bool hasNulls | [rows validity bools] | raw values.
-// Byte-for-byte the per-column layout wire.PutTable uses (and therefore
-// the layout inside v1 segment bodies).
+// Plain: bool hasNulls | [rows validity bools] | raw values — wire.PutColumn,
+// byte for byte (and therefore the layout inside v1 segment bodies).
 
-func putPlainPayload(e *wire.Encoder, col *table.Column) {
-	putValidity(e, col)
-	switch col.Kind() {
-	case value.KindBool:
-		for _, v := range col.Bools() {
-			e.Bool(v)
-		}
-	case value.KindInt64:
-		for _, v := range col.Ints() {
-			e.I64(v)
-		}
-	case value.KindFloat64:
-		for _, v := range col.Floats() {
-			e.F64(v)
-		}
-	case value.KindString:
-		for _, v := range col.Strs() {
-			e.Str(v)
-		}
+// getPlainPayload parses a plain payload. int64 and float64 values are
+// fixed-width, so after the validity bitmap the payload must be exactly
+// rows×8 bytes and is returned undecoded (raw, big-endian): predicates
+// run over the bytes and only selected rows are ever decoded. Bools and
+// strings decode to a column here.
+func getPlainPayload(d *wire.Decoder, kind value.Kind, rows int) (col *table.Column, raw []byte, valid []bool, err error) {
+	if kind != value.KindInt64 && kind != value.KindFloat64 {
+		col = wire.GetColumn(d, kind, rows)
+		return col, nil, nil, d.Err()
 	}
+	valid = wire.GetValidity(d, rows)
+	if d.Err() != nil {
+		return nil, nil, nil, d.Err()
+	}
+	if int64(d.Remaining()) != int64(rows)*8 {
+		return nil, nil, nil, fmt.Errorf("storage: plain page holds %d value bytes for %d rows", d.Remaining(), rows)
+	}
+	return nil, d.RawN(rows * 8), valid, nil
 }
 
-func getPlainPayload(d *wire.Decoder, kind value.Kind, rows int) (*table.Column, error) {
-	valid, err := getValidity(d, rows)
-	if err != nil {
-		return nil, err
-	}
-	// Bound the allocation against the remaining payload before trusting
-	// the header's row count: a hostile count must fail the read, not
-	// OOM it. Every kind costs at least minValueWidth bytes per row.
-	if int64(rows)*minValueWidth(kind) > int64(d.Remaining()) {
-		return nil, fmt.Errorf("storage: plain page claims %d rows in %d payload bytes", rows, d.Remaining())
-	}
+// materializeFixed decodes a raw rows×8 payload to a column: every row
+// with one bulk loop when sel is nil, otherwise only the rows in sel.
+func materializeFixed(kind value.Kind, raw []byte, valid []bool, sel []int) *table.Column {
 	var col *table.Column
-	switch kind {
-	case value.KindBool:
-		vals := make([]bool, rows)
-		for r := range vals {
-			vals[r] = d.Bool()
-		}
-		col = table.BoolColumn(vals)
-	case value.KindInt64:
-		vals := make([]int64, rows)
-		for r := range vals {
-			vals[r] = d.I64()
+	switch {
+	case kind == value.KindInt64 && sel == nil:
+		col = table.IntColumn(wire.NewDecoder(raw).I64s(len(raw) / 8))
+	case kind == value.KindInt64:
+		vals := make([]int64, len(sel))
+		for i, r := range sel {
+			vals[i] = int64(binary.BigEndian.Uint64(raw[8*r:]))
 		}
 		col = table.IntColumn(vals)
-	case value.KindFloat64:
-		vals := make([]float64, rows)
-		for r := range vals {
-			vals[r] = d.F64()
+	case sel == nil:
+		col = table.FloatColumn(wire.NewDecoder(raw).F64s(len(raw) / 8))
+	default:
+		vals := make([]float64, len(sel))
+		for i, r := range sel {
+			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*r:]))
 		}
 		col = table.FloatColumn(vals)
-	case value.KindString:
-		vals := make([]string, rows)
-		for r := range vals {
-			vals[r] = d.Str()
-		}
-		col = table.StringColumn(vals)
-	default:
-		return nil, fmt.Errorf("storage: plain page of kind %v", kind)
 	}
-	if valid != nil {
+	if valid = gatherValid(valid, sel); valid != nil {
 		col = col.WithValidity(valid)
 	}
-	return col, nil
+	return col
+}
+
+// gatherValid narrows a validity bitmap to the rows in sel (nil = every
+// row); a selection without NULLs comes back as nil, the all-valid form.
+func gatherValid(valid []bool, sel []int) []bool {
+	if valid == nil || sel == nil {
+		return valid
+	}
+	out := make([]bool, len(sel))
+	nulls := false
+	for i, r := range sel {
+		out[i] = valid[r]
+		nulls = nulls || !valid[r]
+	}
+	if !nulls {
+		return nil
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +347,7 @@ func getPlainPayload(d *wire.Decoder, kind value.Kind, rows int) (*table.Column,
 // Codes of NULL rows are written as 0 and ignored on decode.
 
 func putDictPayload(e *wire.Encoder, col *table.Column) {
-	putValidity(e, col)
+	wire.PutValidity(e, col)
 	rows := col.Len()
 	codes := make([]uint32, rows)
 	switch col.Kind() {
@@ -424,9 +368,7 @@ func putDictPayload(e *wire.Encoder, col *table.Column) {
 			codes[r] = c
 		}
 		e.U32(uint32(len(order)))
-		for _, v := range order {
-			e.I64(v)
-		}
+		e.I64s(order)
 	case value.KindFloat64:
 		dict := make(map[float64]uint32)
 		var order []float64
@@ -444,9 +386,7 @@ func putDictPayload(e *wire.Encoder, col *table.Column) {
 			codes[r] = c
 		}
 		e.U32(uint32(len(order)))
-		for _, v := range order {
-			e.F64(v)
-		}
+		e.F64s(order)
 	case value.KindString:
 		dict := make(map[string]uint32)
 		var order []string
@@ -464,113 +404,117 @@ func putDictPayload(e *wire.Encoder, col *table.Column) {
 			codes[r] = c
 		}
 		e.U32(uint32(len(order)))
-		for _, v := range order {
-			e.Str(v)
-		}
+		e.Strs(order)
 	default:
 		// choosePageEncoding never picks dict for bools; encode the raw
 		// values as a degenerate one-entry-per-row dictionary is pointless,
 		// so this is a programming error.
 		panic(fmt.Sprintf("storage: dict page of kind %v", col.Kind()))
 	}
-	for _, c := range codes {
-		e.U32(c)
-	}
+	e.U32s(codes)
 }
 
 // getDictEncoded parses a dict payload into its encoded parts: the
-// dictionary entries (a column indexed by code), the per-row codes, and
-// the validity. Codes of non-null rows are bounds-checked here, so every
-// consumer — materializing or not — sees only in-range codes.
-func getDictEncoded(d *wire.Decoder, kind value.Kind, rows int) (dict *table.Column, codes []uint32, valid []bool, err error) {
-	valid, err = getValidity(d, rows)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// dictionary entries (a column indexed by code), the per-row codes — left
+// as their rows×4 big-endian bytes, decoded only where a row is looked
+// at — and the validity. Codes of non-null rows are bounds-checked here,
+// so every consumer — materializing or not — sees only in-range codes.
+func getDictEncoded(d *wire.Decoder, kind value.Kind, rows int) (dict *table.Column, codes []byte, valid []bool, err error) {
+	valid = wire.GetValidity(d, rows)
 	n := int(d.U32())
-	if d.Err() != nil || n < 0 || n > d.Remaining() {
+	if d.Err() != nil || n > d.Remaining() {
 		return nil, nil, nil, fmt.Errorf("storage: dict page dictionary length %d exceeds page", n)
-	}
-	// Codes are 4 bytes per row; the dictionary itself costs at least
-	// minValueWidth per entry. Bound both before allocating.
-	if int64(n)*minValueWidth(kind)+int64(rows)*4 > int64(d.Remaining()) {
-		return nil, nil, nil, fmt.Errorf("storage: dict page claims %d rows over %d entries in %d payload bytes", rows, n, d.Remaining())
 	}
 	switch kind {
 	case value.KindInt64:
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = d.I64()
-		}
-		dict = table.IntColumn(vals)
+		dict = table.IntColumn(d.I64s(n))
 	case value.KindFloat64:
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = d.F64()
-		}
-		dict = table.FloatColumn(vals)
+		dict = table.FloatColumn(d.F64s(n))
 	case value.KindString:
-		vals := make([]string, n)
-		for i := range vals {
-			vals[i] = d.Str()
-		}
-		dict = table.StringColumn(vals)
+		dict = table.StringColumn(d.Strs(n))
 	default:
 		return nil, nil, nil, fmt.Errorf("storage: dict page of kind %v", kind)
 	}
-	codes = make([]uint32, rows)
-	for r := 0; r < rows; r++ {
-		c := d.U32()
-		codes[r] = c
-		if valid != nil && !valid[r] {
-			continue // NULL rows carry a placeholder code; never dereferenced
-		}
-		if int(c) >= n {
-			return nil, nil, nil, fmt.Errorf("storage: dict code %d out of range %d", c, n)
-		}
+	if d.Err() != nil {
+		return nil, nil, nil, d.Err()
+	}
+	if codes, err = getCodes(d, rows, valid, n); err != nil {
+		return nil, nil, nil, err
 	}
 	return dict, codes, valid, nil
 }
 
-// materializeDict gathers dictionary entries into a plain column (codes
-// of non-null rows are already bounds-checked by the parser).
-func materializeDict(dict *table.Column, codes []uint32, valid []bool) *table.Column {
-	rows := len(codes)
-	isNull := func(r int) bool { return valid != nil && !valid[r] }
+// getCodes takes the rest of the payload as a code array: it must be
+// exactly rows×4 bytes, and every non-null row's code must index a
+// dictionary of n entries (NULL rows carry a placeholder that is never
+// dereferenced).
+func getCodes(d *wire.Decoder, rows int, valid []bool, n int) ([]byte, error) {
+	if int64(d.Remaining()) != int64(rows)*4 {
+		return nil, fmt.Errorf("storage: dict page holds %d code bytes for %d rows", d.Remaining(), rows)
+	}
+	codes := d.RawN(rows * 4)
+	if valid == nil {
+		// Four running maxima: the loads do not wait on one compare chain.
+		var m0, m1, m2, m3 uint32
+		b := codes
+		for ; len(b) >= 16; b = b[16:] {
+			m0 = max(m0, binary.BigEndian.Uint32(b))
+			m1 = max(m1, binary.BigEndian.Uint32(b[4:]))
+			m2 = max(m2, binary.BigEndian.Uint32(b[8:]))
+			m3 = max(m3, binary.BigEndian.Uint32(b[12:]))
+		}
+		for ; len(b) >= 4; b = b[4:] {
+			m0 = max(m0, binary.BigEndian.Uint32(b))
+		}
+		if c := max(m0, m1, m2, m3); rows > 0 && int64(c) >= int64(n) {
+			return nil, fmt.Errorf("storage: dict code %d out of range %d", c, n)
+		}
+		return codes, nil
+	}
+	for r, ok := range valid {
+		if c := binary.BigEndian.Uint32(codes[4*r:]); ok && int64(c) >= int64(n) {
+			return nil, fmt.Errorf("storage: dict code %d out of range %d", c, n)
+		}
+	}
+	return codes, nil
+}
+
+// materializeDict gathers dictionary entries into a plain column, for
+// every row when sel is nil and for the rows in sel otherwise (codes of
+// non-null rows are already bounds-checked by the parser).
+func materializeDict(dict *table.Column, codes []byte, valid []bool, sel []int) *table.Column {
 	var col *table.Column
 	switch dict.Kind() {
 	case value.KindInt64:
-		dv := dict.Ints()
-		vals := make([]int64, rows)
-		for r, c := range codes {
-			if !isNull(r) {
-				vals[r] = dv[c]
-			}
-		}
-		col = table.IntColumn(vals)
+		col = table.IntColumn(gatherCodes(dict.Ints(), codes, valid, sel))
 	case value.KindFloat64:
-		dv := dict.Floats()
-		vals := make([]float64, rows)
-		for r, c := range codes {
-			if !isNull(r) {
-				vals[r] = dv[c]
-			}
-		}
-		col = table.FloatColumn(vals)
+		col = table.FloatColumn(gatherCodes(dict.Floats(), codes, valid, sel))
 	default:
-		dv := dict.Strs()
-		vals := make([]string, rows)
-		for r, c := range codes {
-			if !isNull(r) {
-				vals[r] = dv[c]
-			}
-		}
-		col = table.StringColumn(vals)
+		col = table.StringColumn(gatherCodes(dict.Strs(), codes, valid, sel))
 	}
-	if valid != nil {
+	if valid = gatherValid(valid, sel); valid != nil {
 		col = col.WithValidity(valid)
 	}
 	return col
+}
+
+func gatherCodes[T any](entries []T, codes []byte, valid []bool, sel []int) []T {
+	if sel == nil {
+		out := make([]T, len(codes)/4)
+		for r := range out {
+			if valid == nil || valid[r] {
+				out[r] = entries[binary.BigEndian.Uint32(codes[4*r:])]
+			}
+		}
+		return out
+	}
+	out := make([]T, len(sel))
+	for i, r := range sel {
+		if valid == nil || valid[r] {
+			out[i] = entries[binary.BigEndian.Uint32(codes[4*r:])]
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -585,44 +529,38 @@ func putDictSharedPayload(e *wire.Encoder, col *table.Column, dict *SharedDict) 
 	if col.Kind() != value.KindString {
 		panic(fmt.Sprintf("storage: shared-dict page of kind %v", col.Kind()))
 	}
-	putValidity(e, col)
+	wire.PutValidity(e, col)
 	e.U64(dict.Epoch)
 	e.U32(uint32(len(dict.Vals)))
-	vals := col.Strs()
-	for r := 0; r < col.Len(); r++ {
+	codes := make([]uint32, col.Len())
+	for r, v := range col.Strs() {
 		if col.IsNull(r) {
-			e.U32(0)
 			continue
 		}
-		c, ok := dict.Code(vals[r])
+		c, ok := dict.Code(v)
 		if !ok {
 			// The writer checks coverage (or grows the dictionary) before
 			// choosing this encoding; a miss here is a programming error.
 			panic(fmt.Sprintf("storage: value missing from shared dictionary %q", dict.Col))
 		}
-		e.U32(c)
+		codes[r] = c
 	}
+	e.U32s(codes)
 }
 
 // getDictSharedEncoded parses a shared-dict payload: per-row codes plus
 // the dictionary prefix they index (resolved through ctx.dict). In
 // structural mode no dictionary is needed — framing and code bounds are
 // still fully verified, entries comes back nil.
-func getDictSharedEncoded(d *wire.Decoder, kind value.Kind, rows int, ctx pageCtx) (entries *table.Column, codes []uint32, valid []bool, err error) {
+func getDictSharedEncoded(d *wire.Decoder, kind value.Kind, rows int, ctx pageCtx) (entries *table.Column, codes []byte, valid []bool, err error) {
 	if kind != value.KindString {
 		return nil, nil, nil, fmt.Errorf("storage: shared-dict page of kind %v", kind)
 	}
-	valid, err = getValidity(d, rows)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	valid = wire.GetValidity(d, rows)
 	epoch := d.U64()
 	used := int(d.U32())
-	if d.Err() != nil || used < 0 {
+	if d.Err() != nil {
 		return nil, nil, nil, fmt.Errorf("storage: shared-dict page header truncated")
-	}
-	if int64(rows)*4 > int64(d.Remaining()) {
-		return nil, nil, nil, fmt.Errorf("storage: shared-dict page claims %d rows in %d payload bytes", rows, d.Remaining())
 	}
 	if !ctx.structural {
 		if ctx.dict == nil {
@@ -634,20 +572,10 @@ func getDictSharedEncoded(d *wire.Decoder, kind value.Kind, rows int, ctx pageCt
 		if used > len(ctx.dict.Vals) {
 			return nil, nil, nil, fmt.Errorf("storage: column %q codes index a %d-entry prefix, dictionary has %d", ctx.col, used, len(ctx.dict.Vals))
 		}
-	}
-	codes = make([]uint32, rows)
-	for r := 0; r < rows; r++ {
-		c := d.U32()
-		codes[r] = c
-		if valid != nil && !valid[r] {
-			continue
-		}
-		if int(c) >= used {
-			return nil, nil, nil, fmt.Errorf("storage: shared-dict code %d out of range %d", c, used)
-		}
-	}
-	if !ctx.structural {
 		entries = table.StringColumn(ctx.dict.Vals[:used])
+	}
+	if codes, err = getCodes(d, rows, valid, used); err != nil {
+		return nil, nil, nil, err
 	}
 	return entries, codes, valid, nil
 }
@@ -863,35 +791,4 @@ func fillRuns(kind value.Kind, lens []int, vals []value.Value, rows int) (*table
 		col = col.WithValidity(valid)
 	}
 	return col, nil
-}
-
-// ---------------------------------------------------------------------------
-// Shared validity framing: bool hasNulls | [rows validity bools].
-
-func putValidity(e *wire.Encoder, col *table.Column) {
-	hasNulls := col.HasNulls()
-	e.Bool(hasNulls)
-	if hasNulls {
-		for r := 0; r < col.Len(); r++ {
-			e.Bool(!col.IsNull(r))
-		}
-	}
-}
-
-func getValidity(d *wire.Decoder, rows int) ([]bool, error) {
-	hasNulls := d.Bool()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if !hasNulls {
-		return nil, nil
-	}
-	if rows > d.Remaining() {
-		return nil, fmt.Errorf("storage: validity bitmap of %d rows exceeds page", rows)
-	}
-	valid := make([]bool, rows)
-	for r := range valid {
-		valid[r] = d.Bool()
-	}
-	return valid, d.Err()
 }

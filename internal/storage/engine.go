@@ -331,30 +331,11 @@ func (e *Engine) dataset(name string) (*table.Table, bool) {
 	if ok {
 		return t, true
 	}
-	var out *table.Table
-	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
-		sch, _ := e.st.Schema(name)
-		tables := make([]*table.Table, 0, len(refs)+len(parts))
-		for _, ref := range refs {
-			seg, err := e.st.ReadSegment(name, ref)
-			if err != nil {
-				return err
-			}
-			tables = append(tables, seg)
-		}
-		e.segmentsScanned.Add(int64(len(refs)))
-		metSegScanned.Add(int64(len(refs)))
-		tables = append(tables, parts...)
-		t, err := concatTables(sch, tables)
-		if err != nil {
-			return err
-		}
-		out = t
-		return nil
-	})
+	out, segments, err := e.st.dataset(name)
 	if err != nil {
 		return nil, false
 	}
+	e.countSegments(segments, 0)
 	e.mu.Lock()
 	if e.matGen == gen {
 		e.mat[name] = out
@@ -464,8 +445,11 @@ func substituteScan(n core.Node, lit core.Node) (core.Node, error) {
 // stack needs: segments surviving their zone maps under acc.Preds, each
 // read with only the columns in acc.Cols (nil = all), plus the whole
 // unflushed tail projected the same way (no zone maps yet — it is small
-// by construction). Store.readSnapshot supplies the consistent
-// snapshot and the retry when a compaction swap deletes a file mid-read.
+// by construction). The surviving segments are fetched, verified,
+// parsed, filtered and materialized side by side on one work group and
+// concatenated in manifest order. Store.readSnapshot supplies the
+// consistent snapshot and the retry when a compaction swap deletes a
+// file mid-read.
 func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error) {
 	name := acc.Scan.Dataset
 	var out *table.Table
@@ -490,59 +474,47 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 			}
 			outSch = sch.Project(positions)
 		}
-		tables := make([]*table.Table, 0, len(refs)+len(parts))
-		scanned, skipped := int64(0), int64(0)
-		for _, ref := range refs {
-			if !segMayMatch(sch, ref, acc.Preds) {
-				skipped++
-				continue
-			}
-			var t *table.Table
-			var err error
+		// Encoded pre-filter: evaluate the conjuncts over the pages and
+		// materialize only survivors. The stack above re-runs the full
+		// predicates, so this is safe even when acc.Preds is not the whole
+		// filter — but every conjunct's column must be among those read.
+		encoded := positions != nil && len(acc.Preds) > 0 && e.encodedOn()
+		for _, p := range acc.Preds {
+			encoded = encoded && outSch.IndexOf(p.Col) >= 0
+		}
+		live, skipped := pruneSegments(sch, refs, acc.Preds)
+		tables := make([]*table.Table, len(live), len(live)+len(parts))
+		g := newWorkGroup()
+		err := g.forEach(len(live), func(i int) (err error) {
 			switch {
-			case positions != nil && len(acc.Preds) > 0 && e.encodedOn():
-				// Encoded pre-filter: evaluate the conjuncts over the
-				// pages and materialize only survivors. The stack above
-				// re-runs the full predicates, so this is safe even when
-				// acc.Preds is not the whole filter.
+			case encoded:
 				var es *EncodedSegment
-				if es, err = e.st.ReadSegmentEncoded(name, ref, positions); err == nil {
-					var served bool
-					t, served, err = encodedFilterTable(es, acc.Preds)
-					if err == nil && served {
-						e.encodedScans.Add(1)
-						metEncodedScans.Inc()
-					} else if err == nil {
-						t, err = e.st.ReadSegmentColumns(name, ref, positions)
-					}
+				if es, err = e.st.readSegmentEncoded(g, name, live[i], positions); err == nil {
+					tables[i], err = encodedFilterTable(es, acc.Preds)
 				}
 			case positions != nil:
-				t, err = e.st.ReadSegmentColumns(name, ref, positions)
+				tables[i], err = e.st.readSegmentColumns(g, name, live[i], positions)
 			default:
-				t, err = e.st.ReadSegment(name, ref)
+				tables[i], err = e.st.readSegment(g, name, live[i])
 			}
-			if err != nil {
-				return err
-			}
-			tables = append(tables, t)
-			scanned++
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		e.segmentsScanned.Add(scanned)
-		e.segmentsSkipped.Add(skipped)
-		metSegScanned.Add(scanned)
-		metSegPruned.Add(skipped)
+		if encoded {
+			e.encodedScans.Add(int64(len(live)))
+			metEncodedScans.Add(int64(len(live)))
+		}
+		e.countSegments(len(live), skipped)
 		for _, p := range parts {
 			if positions != nil {
 				p = p.Project(positions)
 			}
 			tables = append(tables, p)
 		}
-		t, err := concatTables(outSch, tables)
-		if err != nil {
-			return err
-		}
-		out = t
-		return nil
+		out, err = concatTables(outSch, tables)
+		return err
 	})
 	if errors.Is(err, errNoDataset) || unservable {
 		return nil, false, nil
@@ -551,6 +523,27 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 		return nil, false, err
 	}
 	return out, true, nil
+}
+
+// pruneSegments returns the segments whose zone maps can satisfy every
+// predicate, in manifest order, and how many were excluded.
+func pruneSegments(sch schema.Schema, refs []SegmentRef, preds []planner.ScanPred) (live []SegmentRef, skipped int) {
+	live = make([]SegmentRef, 0, len(refs))
+	for _, ref := range refs {
+		if segMayMatch(sch, ref, preds) {
+			live = append(live, ref)
+		}
+	}
+	return live, len(refs) - len(live)
+}
+
+// countSegments records one read's pruning outcome in the engine's
+// counters and the process metrics.
+func (e *Engine) countSegments(scanned, skipped int) {
+	e.segmentsScanned.Add(int64(scanned))
+	e.segmentsSkipped.Add(int64(skipped))
+	metSegScanned.Add(int64(scanned))
+	metSegPruned.Add(int64(skipped))
 }
 
 // segMayMatch tests every predicate against the segment's zone maps; a

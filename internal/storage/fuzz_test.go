@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 
 	"nexus/internal/table"
@@ -52,9 +53,52 @@ func FuzzSegment(f *testing.F) {
 		// every input too: error or success, never a panic. A segment
 		// that decodes must agree with itself on the row count.
 		_ = VerifySegment(data)
-		if dseg, err := DecodeSegmentDicts(data, fuzzDicts); err == nil {
-			if int64(dseg.Table.NumRows()) != dseg.Meta.Rows {
-				t.Fatalf("dict decode claims %d rows, table has %d", dseg.Meta.Rows, dseg.Table.NumRows())
+		dseg, derr := DecodeSegmentDicts(data, fuzzDicts)
+		if derr == nil && int64(dseg.Table.NumRows()) != dseg.Meta.Rows {
+			t.Fatalf("dict decode claims %d rows, table has %d", dseg.Meta.Rows, dseg.Table.NumRows())
+		}
+		// The projected read keeps fixed-width payloads and code arrays
+		// as bytes and reads them in place for as long as the view lives:
+		// whatever it accepts must filter and decode without a panic, and
+		// agree with the eager decode wherever that succeeds too.
+		for _, positions := range [][]int{{0}, {2, 0}, {0, 1, 2}} {
+			es, err := readSegmentEncoded(bytes.NewReader(data), positions, fuzzDicts, newWorkGroup())
+			if err != nil || es.Meta.Rows > 1<<16 {
+				continue
+			}
+			for i, ec := range es.Cols {
+				acc := make([]bool, ec.Rows())
+				var sel []int
+				for r := range acc {
+					acc[r] = true
+					if r%2 == 0 {
+						sel = append(sel, r)
+					}
+				}
+				for _, cv := range []value.Value{value.NewInt(3), value.NewFloat(2.5), value.NewString("s003"), value.Null} {
+					ec.AndMatches(value.OpLe, cv, acc)
+					ec.AndMatches(value.OpNe, cv, acc)
+				}
+				part, err := ec.MaterializeRows(sel)
+				if err != nil {
+					t.Fatalf("column %d: materialize rows: %v", positions[i], err)
+				}
+				full, err := ec.Materialize()
+				if err != nil {
+					t.Fatalf("column %d: materialize: %v", positions[i], err)
+				}
+				if part.Len() != len(sel) || full.Len() != ec.Rows() {
+					t.Fatalf("column %d: materialized %d of %d selected, %d of %d rows", positions[i], part.Len(), len(sel), full.Len(), ec.Rows())
+				}
+				if derr != nil {
+					continue
+				}
+				want := dseg.Table.Col(positions[i])
+				for r := 0; r < full.Len(); r++ {
+					if value.Compare(want.Value(r), full.Value(r)) != 0 {
+						t.Fatalf("column %d row %d: projected read %v, full decode %v", positions[i], r, full.Value(r), want.Value(r))
+					}
+				}
 			}
 		}
 		seg, err := DecodeSegment(data)

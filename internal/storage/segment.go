@@ -28,8 +28,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"nexus/internal/errfs"
 	"nexus/internal/schema"
@@ -345,6 +347,12 @@ func DecodeSegment(b []byte) (*Segment, error) {
 // every pre-v3 segment; v3 segments then fail with a descriptive error
 // rather than misread.
 func DecodeSegmentDicts(b []byte, dicts DictSet) (*Segment, error) {
+	return decodeSegment(b, dicts, nil)
+}
+
+// decodeSegment is DecodeSegmentDicts decoding a paged segment's pages
+// on g.
+func decodeSegment(b []byte, dicts DictSet, g *workGroup) (*Segment, error) {
 	ver, err := segmentVersion(b)
 	if err != nil {
 		return nil, err
@@ -353,7 +361,7 @@ func DecodeSegmentDicts(b []byte, dicts DictSet) (*Segment, error) {
 	case segVersionV1:
 		return decodeSegmentV1(b)
 	case segVersion, segVersionV3:
-		return decodeSegmentV2(b, dicts)
+		return decodeSegmentV2(b, dicts, g)
 	}
 	return nil, fmt.Errorf("storage: unsupported segment version %d", ver)
 }
@@ -478,28 +486,33 @@ func decodeSegmentV1(b []byte) (*Segment, error) {
 
 // decodeSegmentV2 parses the paged layout (v2 and v3 — same bytes, v3
 // may hold shared-dict pages resolved through dicts) from a fully-read
-// file.
-func decodeSegmentV2(b []byte, dicts DictSet) (*Segment, error) {
+// file, decoding its pages on g.
+func decodeSegmentV2(b []byte, dicts DictSet, g *workGroup) (*Segment, error) {
 	sch, meta, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
 	if err != nil {
 		return nil, err
 	}
 	cols := make([]*table.Column, len(refs))
-	for c, ref := range refs {
+	err = g.forEach(len(refs), func(c int) error {
+		ref := refs[c]
 		// Each term is bounded before the subtraction so a hostile
 		// off/length pair cannot wrap int64 past the slice check.
 		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return nil, fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
+			return fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
 		}
 		ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
 		col, err := decodePage(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
 		if err != nil {
-			return nil, fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
+			return fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
 		}
 		if int64(col.Len()) != meta.Rows {
-			return nil, fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
+			return fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
 		}
 		cols[c] = col
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t, err := table.New(sch, cols)
 	if err != nil {
@@ -612,11 +625,15 @@ func ReadSegmentFile(path string) (*Segment, error) {
 // ReadSegmentFileDicts is ReadSegmentFile resolving shared-dict pages
 // through the dataset's dictionaries.
 func ReadSegmentFileDicts(path string, dicts DictSet) (*Segment, error) {
+	return readSegmentFile(path, dicts, newWorkGroup())
+}
+
+func readSegmentFile(path string, dicts DictSet, g *workGroup) (*Segment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read segment: %w", err)
 	}
-	seg, err := DecodeSegmentDicts(data, dicts)
+	seg, err := decodeSegment(data, dicts, g)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
 	}
@@ -641,15 +658,21 @@ func ReadSegmentFileColumns(path string, positions []int) (*Segment, error) {
 // materializing wrapper over the encoded read: every page is decoded to
 // a plain column.
 func ReadSegmentFileColumnsDicts(path string, positions []int, dicts DictSet) (*Segment, error) {
-	es, err := ReadSegmentFileColumnsEncoded(path, positions, dicts)
+	return readSegmentFileColumns(path, positions, dicts, newWorkGroup())
+}
+
+func readSegmentFileColumns(path string, positions []int, dicts DictSet, g *workGroup) (*Segment, error) {
+	es, err := readSegmentFileEncoded(path, positions, dicts, g)
 	if err != nil {
 		return nil, err
 	}
 	cols := make([]*table.Column, len(es.Cols))
-	for i, ec := range es.Cols {
-		if cols[i], err = ec.Materialize(); err != nil {
-			return nil, fmt.Errorf("storage: %s: column %s: %w", filepath.Base(path), es.Schema.At(i).Name, err)
-		}
+	err = g.forEach(len(cols), func(i int) (err error) {
+		cols[i], err = es.Cols[i].Materialize()
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
 	}
 	t, err := table.New(es.Schema, cols)
 	if err != nil {
@@ -661,29 +684,49 @@ func ReadSegmentFileColumnsDicts(path string, positions []int, dicts DictSet) (*
 // ReadSegmentFileColumnsEncoded reads only the named column positions of
 // a segment file, leaving each page in its encoded form (see
 // EncodedColumn) — the entry point of encoded execution, where
-// predicates run over runs and dictionary codes before any row is
-// materialized. Framing, CRCs and code bounds are verified exactly as a
-// decoding read would. A v1 segment has no page directory and no
-// compressed pages, so it is read whole and its projected columns
-// wrapped as plain views.
+// predicates run over runs, dictionary codes and undecoded fixed-width
+// payloads before any row is materialized. Framing, CRCs, payload
+// lengths and code bounds are verified exactly as a decoding read would.
+// A v1 segment has no page directory and no compressed pages, so it is
+// read whole and its projected columns wrapped as plain views.
 func ReadSegmentFileColumnsEncoded(path string, positions []int, dicts DictSet) (*EncodedSegment, error) {
+	return readSegmentFileEncoded(path, positions, dicts, newWorkGroup())
+}
+
+func readSegmentFileEncoded(path string, positions []int, dicts DictSet, g *workGroup) (*EncodedSegment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read segment: %w", err)
 	}
 	defer f.Close()
-
-	header := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(f, header); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", filepath.Base(path), err)
-	}
-	ver, err := segmentVersion(header)
+	es, err := readSegmentEncoded(f, positions, dicts, g)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
 	}
+	return es, nil
+}
+
+// readSegmentEncoded is the projected read over any io.ReaderAt holding
+// a segment: header and meta block first, then the selected pages —
+// pages that sit next to each other in the file (the encoder lays them
+// out contiguously in column order) arrive in one read and are sliced
+// apart — fetched, CRC-checked and parsed on g.
+func readSegmentEncoded(r io.ReaderAt, positions []int, dicts DictSet, g *workGroup) (*EncodedSegment, error) {
+	header, err := readRange(r, 0, segHeaderLen)
+	if err != nil {
+		return nil, fmt.Errorf("short header: %w", err)
+	}
+	ver, err := segmentVersion(header)
+	if err != nil {
+		return nil, err
+	}
 	if ver == segVersionV1 {
 		// No page directory: fall back to a full read + in-memory project.
-		seg, err := ReadSegmentFile(path)
+		data, err := io.ReadAll(io.NewSectionReader(r, 0, math.MaxInt64))
+		if err != nil {
+			return nil, err
+		}
+		seg, err := decodeSegmentV1(data)
 		if err != nil {
 			return nil, err
 		}
@@ -703,55 +746,82 @@ func ReadSegmentFileColumnsEncoded(path string, positions []int, dicts DictSet) 
 		}, nil
 	}
 	if ver != segVersion && ver != segVersionV3 {
-		return nil, fmt.Errorf("storage: %s: unsupported segment version %d", filepath.Base(path), ver)
+		return nil, fmt.Errorf("unsupported segment version %d", ver)
 	}
 
 	metaLen := headerMetaLen(header)
 	if metaLen < 0 || metaLen > 1<<30 {
-		return nil, fmt.Errorf("storage: %s: implausible meta length %d", filepath.Base(path), metaLen)
+		return nil, fmt.Errorf("implausible meta length %d", metaLen)
 	}
-	metaBuf := make([]byte, metaLen+4)
-	if _, err := io.ReadFull(f, metaBuf); err != nil {
-		return nil, fmt.Errorf("storage: %s: short meta: %w", filepath.Base(path), err)
+	metaBuf, err := readRange(r, segHeaderLen, metaLen+4)
+	if err != nil {
+		return nil, fmt.Errorf("short meta: %w", err)
 	}
 	sch, meta, refs, err := decodeSegmentMetaV2(metaBuf, metaLen)
 	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
+		return nil, err
 	}
 
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
 	bytesRead := int64(segHeaderLen + len(metaBuf))
-	cols := make([]*EncodedColumn, len(positions))
 	zones := make([]ZoneMap, len(positions))
 	for i, c := range positions {
 		if c < 0 || c >= len(refs) {
-			return nil, fmt.Errorf("storage: %s: projected column %d out of %d", filepath.Base(path), c, len(refs))
+			return nil, fmt.Errorf("projected column %d out of %d", c, len(refs))
 		}
-		ref := refs[c]
-		// Bound the page against the real file size before allocating —
-		// a corrupt directory must fail the read, not OOM it (and the
-		// subtraction form cannot wrap like off+length could).
-		if ref.off < int64(segHeaderLen) || ref.length < 0 || ref.off > fi.Size() || int64(ref.length) > fi.Size()-ref.off {
-			return nil, fmt.Errorf("storage: %s: column %d page [%d,+%d) malformed", filepath.Base(path), c, ref.off, ref.length)
+		if refs[c].off < int64(segHeaderLen) || refs[c].length < 0 {
+			return nil, fmt.Errorf("column %d page [%d,+%d) malformed", c, refs[c].off, refs[c].length)
 		}
-		page := make([]byte, ref.length)
-		if _, err := f.ReadAt(page, ref.off); err != nil {
-			return nil, fmt.Errorf("storage: %s: column %d page: %w", filepath.Base(path), c, err)
-		}
-		bytesRead += int64(ref.length)
-		ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
-		col, err := parsePageEncoded(page, sch.At(c).Kind, ctx)
-		if err != nil {
-			return nil, fmt.Errorf("storage: %s: column %d (%s): %w", filepath.Base(path), c, sch.At(c).Name, err)
-		}
-		if int64(col.Rows()) != meta.Rows {
-			return nil, fmt.Errorf("storage: %s: column %d holds %d rows, footer says %d", filepath.Base(path), c, col.Rows(), meta.Rows)
-		}
-		cols[i] = col
+		bytesRead += int64(refs[c].length)
 		zones[i] = meta.Zones[c]
+	}
+
+	// Group the projected pages (indexes into positions) into runs that
+	// are contiguous in the file; each run is one read.
+	type pageRun struct {
+		off   int64
+		n     int
+		pages []int
+	}
+	order := make([]int, len(positions))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return refs[positions[order[a]]].off < refs[positions[order[b]]].off })
+	var runs []pageRun
+	for _, i := range order {
+		ref := refs[positions[i]]
+		if last := len(runs) - 1; last >= 0 && runs[last].off+int64(runs[last].n) == ref.off {
+			runs[last].n += ref.length
+			runs[last].pages = append(runs[last].pages, i)
+			continue
+		}
+		runs = append(runs, pageRun{off: ref.off, n: ref.length, pages: []int{i}})
+	}
+	cols := make([]*EncodedColumn, len(positions))
+	err = g.forEach(len(runs), func(k int) error {
+		run := runs[k]
+		buf, err := readRange(r, run.off, run.n)
+		if err != nil {
+			return fmt.Errorf("column %d page: %w", positions[run.pages[0]], err)
+		}
+		return g.forEach(len(run.pages), func(j int) error {
+			i := run.pages[j]
+			c := positions[i]
+			at := refs[c].off - run.off
+			ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
+			col, err := parsePageEncoded(buf[at:at+int64(refs[c].length)], sch.At(c).Kind, ctx)
+			if err != nil {
+				return fmt.Errorf("column %d (%s): %w", c, sch.At(c).Name, err)
+			}
+			if int64(col.Rows()) != meta.Rows {
+				return fmt.Errorf("column %d holds %d rows, footer says %d", c, col.Rows(), meta.Rows)
+			}
+			cols[i] = col
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &EncodedSegment{
 		Schema:    sch.Project(positions),
@@ -759,6 +829,29 @@ func ReadSegmentFileColumnsEncoded(path string, positions []int, dicts DictSet) 
 		Meta:      SegmentMeta{SchemaHash: meta.SchemaHash, Rows: meta.Rows, Zones: zones},
 		FileBytes: bytesRead,
 	}, nil
+}
+
+// maxBlindRead is the most readRange allocates on a length field's word
+// alone.
+const maxBlindRead = 4 << 20
+
+// readRange reads exactly [off, off+n) of r. The length comes from the
+// file itself and the file's size is not known (the read path does not
+// stat): a longer range is allocated only once its last byte has been
+// read, so a length that overstates the file fails on a short read, not
+// on the allocation.
+func readRange(r io.ReaderAt, off int64, n int) ([]byte, error) {
+	if n > maxBlindRead {
+		var last [1]byte
+		if got, err := r.ReadAt(last[:], off+int64(n)-1); got < 1 {
+			return nil, err
+		}
+	}
+	buf := make([]byte, n)
+	if got, err := r.ReadAt(buf, off); got < n {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // projectSegment narrows a fully-decoded segment to the given column

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nexus/internal/schema"
@@ -46,8 +48,8 @@ type Store struct {
 	cacheGen uint64
 
 	// bytesRead counts the segment-file bytes scans actually consumed;
-	// the projection benchmarks report it. Guarded by mu.
-	bytesRead int64
+	// the projection benchmarks report it.
+	bytesRead atomic.Int64
 
 	// dsLocks serializes WAL-write + memory-apply per dataset, so the
 	// in-memory row order always matches the log's replay order. Writes
@@ -461,6 +463,34 @@ func (s *Store) dictsLocked(name string) DictSet {
 // sound because segments are immutable. The dataset name resolves the
 // shared dictionaries v3 pages decode through.
 func (s *Store) ReadSegment(dataset string, ref SegmentRef) (*table.Table, error) {
+	return s.readSegment(newWorkGroup(), dataset, ref)
+}
+
+// ReadSegmentColumns materializes only the given column positions of a
+// segment (the projected cold-scan path): a v2 segment file yields just
+// its header, meta block and the selected pages; a v1 file is read
+// whole and projected. Projections are cached separately from full
+// reads — both are immutable — and a cached full table short-circuits
+// to an in-memory projection.
+func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
+	return s.readSegmentColumns(newWorkGroup(), dataset, ref, positions)
+}
+
+// ReadSegmentEncoded reads only the given column positions of a segment
+// in encoded form — pages parsed and verified but not materialized, so
+// predicates can run over runs, dictionary codes and undecoded payloads
+// first. Encoded views are immutable (dictionary growth is append-only
+// within an epoch, and a rebuild deletes the referencing files) and
+// cached like decoded ones.
+func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
+	return s.readSegmentEncoded(newWorkGroup(), dataset, ref, positions)
+}
+
+// The three reads above, with the page work of a miss done on g — the
+// forms the engine's per-segment pipeline calls, so segments and pages
+// share one budget.
+
+func (s *Store) readSegment(g *workGroup, dataset string, ref SegmentRef) (*table.Table, error) {
 	s.mu.RLock()
 	t, ok := s.segs[ref.File]
 	gen := s.cacheGen
@@ -471,7 +501,7 @@ func (s *Store) ReadSegment(dataset string, ref SegmentRef) (*table.Table, error
 		return t, nil
 	}
 	metSegCacheMiss.Inc()
-	seg, err := ReadSegmentFileDicts(filepath.Join(s.dir, ref.File), dicts)
+	seg, err := readSegmentFile(filepath.Join(s.dir, ref.File), dicts, g)
 	if err != nil {
 		return nil, err
 	}
@@ -480,13 +510,7 @@ func (s *Store) ReadSegment(dataset string, ref SegmentRef) (*table.Table, error
 	return seg.Table, nil
 }
 
-// ReadSegmentColumns materializes only the given column positions of a
-// segment (the projected cold-scan path): a v2 segment file yields just
-// its header, meta block and the selected pages; a v1 file is read
-// whole and projected. Projections are cached separately from full
-// reads — both are immutable — and a cached full table short-circuits
-// to an in-memory projection.
-func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
+func (s *Store) readSegmentColumns(g *workGroup, dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
 	key := ref.File + "?" + colsKey(positions)
 	s.mu.RLock()
 	t, ok := s.segs[key]
@@ -502,7 +526,7 @@ func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []i
 		return full.Project(positions), nil
 	}
 	metSegCacheMiss.Inc()
-	seg, err := ReadSegmentFileColumnsDicts(filepath.Join(s.dir, ref.File), positions, dicts)
+	seg, err := readSegmentFileColumns(filepath.Join(s.dir, ref.File), positions, dicts, g)
 	if err != nil {
 		return nil, err
 	}
@@ -511,12 +535,7 @@ func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []i
 	return seg.Table, nil
 }
 
-// ReadSegmentEncoded reads only the given column positions of a segment
-// in encoded form — pages parsed and verified but not materialized, so
-// predicates can run over runs and dictionary codes first. Encoded views
-// are immutable (dictionary growth is append-only within an epoch, and a
-// rebuild deletes the referencing files) and cached like decoded ones.
-func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
+func (s *Store) readSegmentEncoded(g *workGroup, dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
 	key := ref.File + "?" + colsKey(positions)
 	s.mu.RLock()
 	es, ok := s.encs[key]
@@ -528,16 +547,16 @@ func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []i
 		return es, nil
 	}
 	metSegCacheMiss.Inc()
-	es, err := ReadSegmentFileColumnsEncoded(filepath.Join(s.dir, ref.File), positions, dicts)
+	es, err := readSegmentFileEncoded(filepath.Join(s.dir, ref.File), positions, dicts, g)
 	if err != nil {
 		return nil, err
 	}
 	metBytesReadEncoded.Add(es.FileBytes)
+	s.bytesRead.Add(es.FileBytes)
 	s.mu.Lock()
 	if s.cacheGen == gen {
 		s.encs[key] = es
 	}
-	s.bytesRead += es.FileBytes
 	s.mu.Unlock()
 	return es, nil
 }
@@ -547,11 +566,11 @@ func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []i
 // resurrect an entry for a deleted file that nothing ever evicts.
 // Bytes read are counted either way; the disk read happened.
 func (s *Store) cacheInsert(key string, t *table.Table, gen uint64, bytes int64) {
+	s.bytesRead.Add(bytes)
 	s.mu.Lock()
 	if s.cacheGen == gen {
 		s.segs[key] = t
 	}
-	s.bytesRead += bytes
 	s.mu.Unlock()
 }
 
@@ -562,7 +581,7 @@ func colsKey(positions []int) string {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = fmt.Appendf(b, "%d", c)
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
 	return string(b)
 }
@@ -570,11 +589,7 @@ func colsKey(positions []int) string {
 // BytesRead returns the cumulative segment-file bytes scans have read
 // from disk (cache hits cost nothing). Benchmarks compare this across
 // full and projected cold scans.
-func (s *Store) BytesRead() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytesRead
-}
+func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
 
 // DropSegmentCache empties the decoded-segment cache (benchmarks use
 // this to measure genuinely cold scans). Reads already in flight will
@@ -620,32 +635,36 @@ func (s *Store) readSnapshot(name string, run func(refs []SegmentRef, parts []*t
 // Dataset materializes a whole dataset: durable segments in manifest
 // order, then the unflushed tail.
 func (s *Store) Dataset(name string) (*table.Table, bool, error) {
-	var out *table.Table
-	err := s.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
-		sch, _ := s.Schema(name)
-		tables := make([]*table.Table, 0, len(refs)+len(parts))
-		for _, ref := range refs {
-			t, err := s.ReadSegment(name, ref)
-			if err != nil {
-				return err
-			}
-			tables = append(tables, t)
-		}
-		tables = append(tables, parts...)
-		t, err := concatTables(sch, tables)
-		if err != nil {
-			return err
-		}
-		out = t
-		return nil
-	})
+	t, _, err := s.dataset(name)
 	if errors.Is(err, errNoDataset) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	return out, true, nil
+	return t, true, nil
+}
+
+// dataset is Dataset also reporting how many segments it read. The
+// segments decode side by side on one work group and are concatenated
+// in manifest order.
+func (s *Store) dataset(name string) (out *table.Table, segments int, err error) {
+	err = s.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
+		sch, _ := s.Schema(name)
+		tables := make([]*table.Table, len(refs), len(refs)+len(parts))
+		g := newWorkGroup()
+		err := g.forEach(len(refs), func(i int) (err error) {
+			tables[i], err = s.readSegment(g, name, refs[i])
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		out, err = concatTables(sch, append(tables, parts...))
+		segments = len(refs)
+		return err
+	})
+	return out, segments, err
 }
 
 // concatTables concatenates parts under sch (empty table when none).

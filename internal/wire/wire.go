@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -67,6 +68,59 @@ func (e *Encoder) Str(s string) {
 
 // Raw appends bytes verbatim (caller framed them already).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
+// grow extends the buffer by n bytes and returns the new region.
+func (e *Encoder) grow(n int) []byte {
+	at := len(e.buf)
+	e.buf = append(e.buf, make([]byte, n)...)
+	return e.buf[at:]
+}
+
+// The slice kernels below are the one place a typed column turns into
+// bytes and back: the table codec and every storage page codec go
+// through them. The layout is exactly that of the scalar method called
+// once per element.
+
+// I64s appends every element as I64 would.
+func (e *Encoder) I64s(vs []int64) {
+	b := e.grow(8 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(b[8*i:], uint64(v))
+	}
+}
+
+// F64s appends every element as F64 would.
+func (e *Encoder) F64s(vs []float64) {
+	b := e.grow(8 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+}
+
+// U32s appends every element as U32 would.
+func (e *Encoder) U32s(vs []uint32) {
+	b := e.grow(4 * len(vs))
+	for i, v := range vs {
+		binary.BigEndian.PutUint32(b[4*i:], v)
+	}
+}
+
+// Bools appends every element as Bool would.
+func (e *Encoder) Bools(vs []bool) {
+	b := e.grow(len(vs))
+	for i, v := range vs {
+		if v {
+			b[i] = 1
+		}
+	}
+}
+
+// Strs appends every element as Str would.
+func (e *Encoder) Strs(vs []string) {
+	for _, v := range vs {
+		e.Str(v)
+	}
+}
 
 // Decoder consumes a binary encoding with a sticky error: after the first
 // malformed read every subsequent read returns zero values, and Err
@@ -144,6 +198,69 @@ func (d *Decoder) RawN(n int) []byte {
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// rawElems reads n fixed-width elements' bytes; a count the input cannot
+// hold fails the decoder before anything is allocated.
+func (d *Decoder) rawElems(n, width int) []byte {
+	if n < 0 || n > d.Remaining()/width {
+		d.fail("slice")
+		return nil
+	}
+	return d.RawN(n * width)
+}
+
+// I64s reads n int64s into a fresh slice: one bounds check, one loop.
+func (d *Decoder) I64s(n int) []int64 {
+	b := d.rawElems(n, 8)
+	if d.err != nil {
+		return nil
+	}
+	vs := make([]int64, n)
+	for i := range vs {
+		vs[i] = int64(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	return vs
+}
+
+// F64s reads n float64s (see I64s).
+func (d *Decoder) F64s(n int) []float64 {
+	b := d.rawElems(n, 8)
+	if d.err != nil {
+		return nil
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	return vs
+}
+
+// Bools reads n bool bytes (see I64s).
+func (d *Decoder) Bools(n int) []bool {
+	b := d.rawElems(n, 1)
+	if d.err != nil {
+		return nil
+	}
+	vs := make([]bool, n)
+	for i, x := range b {
+		vs[i] = x != 0
+	}
+	return vs
+}
+
+// Strs reads n length-prefixed strings; each needs at least its u32
+// length, which bounds n before the slice is allocated.
+func (d *Decoder) Strs(n int) []string {
+	if d.err != nil || n < 0 || n > d.Remaining()/4 {
+		d.fail("strings")
+		return nil
+	}
+	vs := make([]string, n)
+	for i := range vs {
+		vs[i] = d.Str()
+	}
+	return vs
 }
 
 // Str reads a length-prefixed string.
@@ -246,33 +363,72 @@ func PutTable(e *Encoder, t *table.Table) {
 	PutSchema(e, t.Schema())
 	e.U32(uint32(t.NumRows()))
 	for c := 0; c < t.NumCols(); c++ {
-		col := t.Col(c)
-		hasNulls := col.HasNulls()
-		e.Bool(hasNulls)
-		if hasNulls {
-			for r := 0; r < t.NumRows(); r++ {
-				e.Bool(!col.IsNull(r))
-			}
-		}
-		switch col.Kind() {
-		case value.KindBool:
-			for _, v := range col.Bools() {
-				e.Bool(v)
-			}
-		case value.KindInt64:
-			for _, v := range col.Ints() {
-				e.I64(v)
-			}
-		case value.KindFloat64:
-			for _, v := range col.Floats() {
-				e.F64(v)
-			}
-		case value.KindString:
-			for _, v := range col.Strs() {
-				e.Str(v)
-			}
+		PutColumn(e, t.Col(c))
+	}
+}
+
+// PutColumn encodes one column: bool hasNulls | [rows validity bools] |
+// raw values. The row count and kind travel outside (table header,
+// segment page header).
+func PutColumn(e *Encoder, col *table.Column) {
+	PutValidity(e, col)
+	switch col.Kind() {
+	case value.KindBool:
+		e.Bools(col.Bools())
+	case value.KindInt64:
+		e.I64s(col.Ints())
+	case value.KindFloat64:
+		e.F64s(col.Floats())
+	case value.KindString:
+		e.Strs(col.Strs())
+	}
+}
+
+// PutValidity encodes a column's validity: bool hasNulls | [rows bools].
+func PutValidity(e *Encoder, col *table.Column) {
+	hasNulls := col.HasNulls()
+	e.Bool(hasNulls)
+	if hasNulls {
+		e.Bools(col.Validity())
+	}
+}
+
+// GetValidity decodes what PutValidity wrote for a column of rows rows;
+// nil means every row is valid.
+func GetValidity(d *Decoder, rows int) []bool {
+	if !d.Bool() {
+		return nil
+	}
+	return d.Bools(rows)
+}
+
+// GetColumn decodes what PutColumn wrote for a column of the given kind
+// and row count. A row count the remaining input cannot hold fails the
+// decoder before anything is allocated.
+func GetColumn(d *Decoder, kind value.Kind, rows int) *table.Column {
+	valid := GetValidity(d, rows)
+	var col *table.Column
+	switch kind {
+	case value.KindBool:
+		col = table.BoolColumn(d.Bools(rows))
+	case value.KindInt64:
+		col = table.IntColumn(d.I64s(rows))
+	case value.KindFloat64:
+		col = table.FloatColumn(d.F64s(rows))
+	case value.KindString:
+		col = table.StringColumn(d.Strs(rows))
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("wire: bad column kind %v", kind)
 		}
 	}
+	if d.err != nil {
+		return nil
+	}
+	if valid != nil {
+		col = col.WithValidity(valid)
+	}
+	return col
 }
 
 // GetTable decodes a table.
@@ -287,52 +443,10 @@ func GetTable(d *Decoder) *table.Table {
 		return nil
 	}
 	cols := make([]*table.Column, sch.Len())
-	for c := 0; c < sch.Len(); c++ {
-		hasNulls := d.Bool()
-		var valid []bool
-		if hasNulls {
-			valid = make([]bool, rows)
-			for r := 0; r < rows; r++ {
-				valid[r] = d.Bool()
-			}
-		}
-		var col *table.Column
-		switch sch.At(c).Kind {
-		case value.KindBool:
-			vals := make([]bool, rows)
-			for r := 0; r < rows; r++ {
-				vals[r] = d.Bool()
-			}
-			col = table.BoolColumn(vals)
-		case value.KindInt64:
-			vals := make([]int64, rows)
-			for r := 0; r < rows; r++ {
-				vals[r] = d.I64()
-			}
-			col = table.IntColumn(vals)
-		case value.KindFloat64:
-			vals := make([]float64, rows)
-			for r := 0; r < rows; r++ {
-				vals[r] = d.F64()
-			}
-			col = table.FloatColumn(vals)
-		case value.KindString:
-			vals := make([]string, rows)
-			for r := 0; r < rows; r++ {
-				vals[r] = d.Str()
-			}
-			col = table.StringColumn(vals)
-		default:
-			d.err = fmt.Errorf("wire: bad column kind %v", sch.At(c).Kind)
+	for c := range cols {
+		if cols[c] = GetColumn(d, sch.At(c).Kind, rows); cols[c] == nil {
 			return nil
 		}
-		if valid != nil {
-			col = col.WithValidity(valid)
-		}
-		cols[c] = col
-	}
-	if d.err != nil {
-		return nil
 	}
 	t, err := table.New(sch, cols)
 	if err != nil {

@@ -271,3 +271,75 @@ func TestTableRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSliceKernelsMatchScalars pins the slice-at-a-time encoders to the
+// bytes the scalar methods write one element at a time, the decoders to
+// the values the scalar methods read, and a count the input cannot hold
+// to a decoder error rather than an allocation.
+func TestSliceKernelsMatchScalars(t *testing.T) {
+	ints := []int64{0, -1, math.MinInt64, math.MaxInt64, 1 << 53}
+	floats := []float64{0, math.Copysign(0, -1), -1.5, math.Inf(-1), math.MaxFloat64}
+	u32s := []uint32{0, 1, 1 << 31, math.MaxUint32}
+	bools := []bool{true, false, false, true, true}
+	strs := []string{"", "a", "héllo", "\x00"}
+
+	var bulk, scalar Encoder
+	bulk.I64s(ints)
+	bulk.F64s(floats)
+	bulk.U32s(u32s)
+	bulk.Bools(bools)
+	bulk.Strs(strs)
+	for _, v := range ints {
+		scalar.I64(v)
+	}
+	for _, v := range floats {
+		scalar.F64(v)
+	}
+	for _, v := range u32s {
+		scalar.U32(v)
+	}
+	for _, v := range bools {
+		scalar.Bool(v)
+	}
+	for _, v := range strs {
+		scalar.Str(v)
+	}
+	if !bytes.Equal(bulk.Bytes(), scalar.Bytes()) {
+		t.Fatal("slice encoders wrote different bytes than the scalar encoders")
+	}
+
+	d := NewDecoder(bulk.Bytes())
+	gotInts, gotFloats := d.I64s(len(ints)), d.F64s(len(floats))
+	for range u32s {
+		d.U32()
+	}
+	gotBools, gotStrs := d.Bools(len(bools)), d.Strs(len(strs))
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: err=%v, %d bytes left", d.Err(), d.Remaining())
+	}
+	for i := range ints {
+		if gotInts[i] != ints[i] || math.Float64bits(gotFloats[i]) != math.Float64bits(floats[i]) || gotBools[i] != bools[i] {
+			t.Fatalf("element %d: got %d %v %v", i, gotInts[i], gotFloats[i], gotBools[i])
+		}
+	}
+	for i := range strs {
+		if gotStrs[i] != strs[i] {
+			t.Fatalf("string %d: got %q", i, gotStrs[i])
+		}
+	}
+
+	for name, read := range map[string]func(*Decoder, int){
+		"I64s":  func(d *Decoder, n int) { d.I64s(n) },
+		"F64s":  func(d *Decoder, n int) { d.F64s(n) },
+		"Bools": func(d *Decoder, n int) { d.Bools(n) },
+		"Strs":  func(d *Decoder, n int) { d.Strs(n) },
+	} {
+		for _, n := range []int{-1, 33, 1 << 40, 1 << 61} {
+			d := NewDecoder(make([]byte, 32))
+			read(d, n)
+			if d.Err() == nil {
+				t.Fatalf("%s(%d) over 32 bytes did not fail", name, n)
+			}
+		}
+	}
+}
