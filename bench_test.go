@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment in EXPERIMENTS.md (one bench
-// family per experiment id), plus micro-benchmarks of the engine kernels
+// Benchmarks regenerating every experiment of internal/experiments (one
+// bench family per experiment id), plus micro-benchmarks of the engine kernels
 // the experiments rest on. Run with:
 //
 //	go test -bench=. -benchmem

@@ -1,6 +1,7 @@
 // nexus-bench runs the experiment suite derived from the paper's goals
-// and desiderata (see DESIGN.md §3 and EXPERIMENTS.md) and prints each
-// experiment's table.
+// and desiderata (E1–E8, implemented in internal/experiments) and prints
+// each experiment's table. Performance numbers come from the repository
+// benchmark instead: bash bench/run.sh (see bench/README.md).
 //
 // Usage:
 //
@@ -8,12 +9,6 @@
 //	nexus-bench -run E3,E4       # selected experiments
 //	nexus-bench -quick           # smaller sizes (CI-friendly)
 //	nexus-bench -tcp             # E4 over real TCP loopback servers
-//	nexus-bench -micro           # kernel micro-benchmarks -> BENCH_2.json
-//	nexus-bench -storage         # cold/warm/projected/pruned/encoded scans -> BENCH_10.json
-//	nexus-bench -load            # concurrent mixed-workload tail-latency run -> BENCH_6.json
-//	nexus-bench -failover        # SIGKILL-the-primary failover gap benchmark -> BENCH_7.json
-//	nexus-bench -load-mux        # multiplexed front door: conns vs subs vs tail latency -> BENCH_8.json
-//	nexus-bench -trace-overhead  # tracing-disabled/enabled overhead on the BENCH_2 kernels -> BENCH_9.json
 package main
 
 import (
@@ -30,107 +25,7 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment ids (E1..E8) or 'all'")
 	quick := flag.Bool("quick", false, "use reduced problem sizes")
 	tcp := flag.Bool("tcp", false, "run E4 over TCP loopback servers instead of in-process transports")
-	micro := flag.Bool("micro", false, "run the execution-kernel micro-benchmarks and emit machine-readable results")
-	storageBench := flag.Bool("storage", false, "run the durable-storage scan benchmarks (cold disk vs warm RAM vs zone-map pruned)")
-	loadBench := flag.Bool("load", false, "run the concurrent mixed-workload tail-latency generator against a live durable server")
-	loadMux := flag.Bool("load-mux", false, "run the multiplexed front-door benchmark (conns vs subscriptions vs tail latency)")
-	traceOverhead := flag.Bool("trace-overhead", false, "run the distributed-tracing overhead smoke over the BENCH_2 kernels (raw vs untraced vs traced)")
-	loadClients := flag.Int("load-clients", 12, "concurrent clients for -load")
-	loadDur := flag.Duration("load-duration", 5*time.Second, "wall-clock duration for -load")
-	failoverBench := flag.Bool("failover", false, "run the primary-SIGKILL failover benchmark (gap to first window served by the replica)")
-	failoverIters := flag.Int("failover-iters", 10, "kill-and-recover iterations for -failover")
-	failoverRows := flag.Int("failover-rows", 10000, "event rows per -failover iteration")
-	failoverPrimary := flag.String("failover-primary", "", "internal: run as the -failover benchmark's killable primary on this data dir")
-	benchOut := flag.String("bench-out", "", "output path for -micro (default BENCH_2.json) / -storage (default BENCH_10.json) / -load (default BENCH_6.json) results")
-	baseline := flag.String("baseline", "", "previous -micro report to compute speedups against")
 	flag.Parse()
-
-	if *failoverPrimary != "" {
-		if err := runFailoverPrimary(*failoverPrimary); err != nil {
-			fmt.Fprintf(os.Stderr, "failover primary FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *failoverBench {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_7.json"
-		}
-		iters, rows := *failoverIters, *failoverRows
-		if *quick {
-			if iters > 5 {
-				iters = 5
-			}
-			if rows > 5000 {
-				rows = 5000
-			}
-		}
-		if err := runFailoverBench(out, iters, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "failover benchmark FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *micro {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_2.json"
-		}
-		if err := runMicro(out, *baseline, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "micro benchmarks FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storageBench {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_10.json"
-		}
-		if err := runStorageBench(out, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "storage benchmarks FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceOverhead {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_9.json"
-		}
-		if err := runTraceOverhead(out, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-overhead benchmark FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *loadMux {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_8.json"
-		}
-		if err := runLoadMux(out, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "load-mux benchmark FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *loadBench {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_6.json"
-		}
-		dur := *loadDur
-		if *quick && dur > 2*time.Second {
-			dur = 2 * time.Second
-		}
-		if err := runLoad(out, *loadClients, dur); err != nil {
-			fmt.Fprintf(os.Stderr, "load benchmark FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	if *run == "all" {

@@ -332,7 +332,7 @@ func (n *Extend) Describe() string {
 // JoinType enumerates the supported join variants.
 type JoinType uint8
 
-// Join variants. Full outer join is intentionally absent (see DESIGN.md).
+// Join variants. Full outer join is intentionally absent.
 const (
 	JoinInner JoinType = iota
 	JoinLeft

@@ -12,7 +12,7 @@ import (
 
 // Execution-layer metrics. Per-kernel counters are pre-resolved into a
 // kind-indexed array so the per-node cost is one slice index plus one
-// atomic add — cheap enough for the BENCH_2 hot loops.
+// atomic add — cheap enough for the per-morsel hot loops.
 var (
 	metOps = obs.Default.CounterVec("nexus_exec_ops_total",
 		"Operator evaluations by kernel.", "op")

@@ -5,8 +5,8 @@
 // goals (Portability, Multi-Server Applications), the three extensions
 // over LINQ (expressive array model, control iteration, multi-server
 // queries), and the four desiderata (Coverage, Translatability, Intent
-// Preservation, Server Interoperation). EXPERIMENTS.md records the
-// mapping and the measured outcomes; cmd/nexus-bench prints these tables;
+// Preservation, Server Interoperation). Each experiment's file opens
+// with the claim it tests; cmd/nexus-bench prints these tables;
 // bench_test.go wraps the same code in testing.B benchmarks.
 package experiments
 

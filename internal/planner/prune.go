@@ -9,7 +9,7 @@ import (
 // ---------------------------------------------------------------------------
 // Zone-map pruning support.
 //
-// Column pruning (below) narrows scans horizontally; ScanPreds narrows
+// Column pruning (below) narrows scans horizontally; conjuncts narrows
 // them vertically. It extracts the conjuncts of a filter predicate that
 // compare one column against a constant — the shape a storage engine
 // can test against per-segment min/max zone maps, skipping whole
@@ -25,82 +25,44 @@ type ScanPred struct {
 	Val value.Value
 }
 
-// ScanPreds extracts the column-vs-constant comparison conjuncts of a
-// predicate. Disjunctions, calls, arithmetic and column-vs-column
-// comparisons contribute nothing (a row passing them may exist in any
-// segment); every returned conjunct must hold for a row to pass, so a
-// segment failing any one of them under its zone maps holds no matches.
-func ScanPreds(e expr.Expr) []ScanPred {
-	var out []ScanPred
+// conjuncts walks a predicate's AND-tree once and returns its
+// column-vs-constant comparison conjuncts. Disjunctions, calls,
+// arithmetic and column-vs-column comparisons contribute nothing (a row
+// passing them may exist in any segment); every returned conjunct must
+// hold for a row to pass, so a segment failing any one of them under its
+// zone maps holds no matches. exact reports that nothing else was
+// present: the conjuncts are then not merely implied by the predicate
+// but equivalent to it, so a storage engine may evaluate them directly
+// over encoded pages and skip the generic filter entirely, whereas an
+// inexact extraction still needs the residual predicate downstream.
+func conjuncts(e expr.Expr) (preds []ScanPred, exact bool) {
+	exact = true
 	var walk func(expr.Expr)
 	walk = func(e expr.Expr) {
 		b, ok := e.(*expr.Bin)
-		if !ok {
-			return
-		}
-		if b.Op == value.OpAnd {
+		switch {
+		case ok && b.Op == value.OpAnd:
 			walk(b.L)
 			walk(b.R)
-			return
-		}
-		if !b.Op.Comparison() {
-			return
-		}
-		if col, okL := b.L.(*expr.Col); okL {
-			if c, okR := b.R.(*expr.Const); okR {
-				out = append(out, ScanPred{Col: col.Name, Op: b.Op, Val: c.Val})
+		case ok && b.Op.Comparison():
+			if col, okL := b.L.(*expr.Col); okL {
+				if c, okR := b.R.(*expr.Const); okR {
+					preds = append(preds, ScanPred{Col: col.Name, Op: b.Op, Val: c.Val})
+					return
+				}
+			} else if c, okL := b.L.(*expr.Const); okL {
+				if col, okR := b.R.(*expr.Col); okR {
+					preds = append(preds, ScanPred{Col: col.Name, Op: flipCmp(b.Op), Val: c.Val})
+					return
+				}
 			}
-			return
-		}
-		if c, okL := b.L.(*expr.Const); okL {
-			if col, okR := b.R.(*expr.Col); okR {
-				out = append(out, ScanPred{Col: col.Name, Op: flipCmp(b.Op), Val: c.Val})
-			}
+			exact = false
+		default:
+			exact = false
 		}
 	}
 	walk(e)
-	return out
-}
-
-// ExactConjuncts is the strict sibling of ScanPreds: it succeeds only
-// when the predicate is nothing but an AND-tree of column-vs-constant
-// comparisons, i.e. when the returned conjuncts are not merely implied
-// by the predicate but equivalent to it. Encoded execution needs the
-// distinction — a storage engine may evaluate an exact conjunction
-// directly over encoded pages and skip the generic filter entirely,
-// whereas an inexact extraction still requires the residual predicate
-// to run downstream.
-func ExactConjuncts(e expr.Expr) ([]ScanPred, bool) {
-	b, ok := e.(*expr.Bin)
-	if !ok {
-		return nil, false
-	}
-	if b.Op == value.OpAnd {
-		l, okL := ExactConjuncts(b.L)
-		if !okL {
-			return nil, false
-		}
-		r, okR := ExactConjuncts(b.R)
-		if !okR {
-			return nil, false
-		}
-		return append(l, r...), true
-	}
-	if !b.Op.Comparison() {
-		return nil, false
-	}
-	if col, okL := b.L.(*expr.Col); okL {
-		if c, okR := b.R.(*expr.Const); okR {
-			return []ScanPred{{Col: col.Name, Op: b.Op, Val: c.Val}}, true
-		}
-		return nil, false
-	}
-	if c, okL := b.L.(*expr.Const); okL {
-		if col, okR := b.R.(*expr.Col); okR {
-			return []ScanPred{{Col: col.Name, Op: flipCmp(b.Op), Val: c.Val}}, true
-		}
-	}
-	return nil, false
+	return preds, exact
 }
 
 // ScanAccess describes how a storage engine may serve a plan fragment
@@ -116,7 +78,7 @@ type ScanAccess struct {
 	// schema order. nil means every column is needed (no projection win).
 	Cols []string
 	// Preds are the fragment's prunable column-vs-constant conjuncts
-	// (see ScanPreds). Every one must hold for a row to survive the
+	// (see conjuncts). Every one must hold for a row to survive the
 	// fragment's filters, so a segment failing any of them under its
 	// zone maps holds no useful rows.
 	Preds []ScanPred
@@ -149,12 +111,9 @@ func AnalyzeScanAccess(n core.Node) (ScanAccess, bool) {
 	for {
 		switch x := cur.(type) {
 		case *core.Filter:
-			if preds, exact := ExactConjuncts(x.Pred); exact {
-				acc.Preds = append(acc.Preds, preds...)
-			} else {
-				acc.Preds = append(acc.Preds, ScanPreds(x.Pred)...)
-				acc.Exact = false
-			}
+			preds, exact := conjuncts(x.Pred)
+			acc.Preds = append(acc.Preds, preds...)
+			acc.Exact = acc.Exact && exact
 			addCols(need, x.Pred)
 			cur = x.Children()[0]
 		case *core.Project:
@@ -230,7 +189,7 @@ func AnalyzeAggAccess(n core.Node) (AggAccess, bool) {
 	for {
 		switch x := cur.(type) {
 		case *core.Filter:
-			preds, exact := ExactConjuncts(x.Pred)
+			preds, exact := conjuncts(x.Pred)
 			if !exact {
 				return AggAccess{}, false
 			}

@@ -486,7 +486,7 @@ func (s *Store) readSegmentUncached(name string, ref SegmentRef) (*table.Table, 
 	if ok {
 		return t, nil
 	}
-	seg, err := ReadSegmentFileDicts(filepath.Join(s.dir, ref.File), dicts)
+	seg, err := readSegmentFile(filepath.Join(s.dir, ref.File), dicts, newWorkGroup())
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func (ec *EncodedColumn) Kind() value.Kind { return ec.kind }
 func (ec *EncodedColumn) Encoding() uint8 { return ec.enc }
 
 // EncodedSegment is a projected segment read whose columns stay in
-// encoded form: what ReadSegmentFileColumnsEncoded returns and the
+// encoded form: what readSegmentFileEncoded returns and the
 // encoded scan/aggregate paths consume. Schema, Meta.Zones and Cols
 // cover only the selected columns, in selection order.
 type EncodedSegment struct {

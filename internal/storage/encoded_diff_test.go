@@ -418,9 +418,8 @@ func diffPreds() []expr.Expr {
 	}
 }
 
-// TestEncodedScanDifferential holds filtered+projected cold scans
-// byte-identical across encoded execution on, off, and the in-memory
-// relational engine.
+// TestEncodedScanDifferential holds filtered+projected cold scans (the
+// encoded pre-filter) byte-identical to the in-memory relational engine.
 func TestEncodedScanDifferential(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := OpenEngine("disk", dir)
@@ -462,23 +461,13 @@ func TestEncodedScanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pred %d proj %d: mem: %v", pi, ci, err)
 			}
-			eng.SetEncodedExec(false)
 			eng.DropCache()
-			off, err := eng.Execute(mkPlan())
+			got, err := eng.Execute(mkPlan())
 			if err != nil {
-				t.Fatalf("pred %d proj %d: encoded off: %v", pi, ci, err)
+				t.Fatalf("pred %d proj %d: disk: %v", pi, ci, err)
 			}
-			eng.SetEncodedExec(true)
-			eng.DropCache()
-			on, err := eng.Execute(mkPlan())
-			if err != nil {
-				t.Fatalf("pred %d proj %d: encoded on: %v", pi, ci, err)
-			}
-			if !table.EqualRows(want, off) {
-				t.Fatalf("pred %d proj %d: encoded-off differs from memory oracle", pi, ci)
-			}
-			if !table.EqualRows(want, on) {
-				t.Fatalf("pred %d proj %d: encoded-on differs from oracle", pi, ci)
+			if !table.EqualRows(want, got) {
+				t.Fatalf("pred %d proj %d: cold scan differs from memory oracle", pi, ci)
 			}
 		}
 	}
@@ -488,8 +477,8 @@ func TestEncodedScanDifferential(t *testing.T) {
 }
 
 // TestEncodedAggDifferential holds grouped aggregations over cold scans
-// byte-identical across the encoded fold, the generic runtime, and the
-// in-memory engine — global and keyed, filtered and not, every
+// byte-identical to the in-memory engine, whether the encoded fold or
+// the generic runtime serves them — global and keyed, filtered and not, every
 // aggregate function, keys on dict, RLE and plain columns.
 func TestEncodedAggDifferential(t *testing.T) {
 	dir := t.TempDir()
@@ -553,23 +542,13 @@ func TestEncodedAggDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("keys %d aggs %d filter %d: mem: %v", ki, ai, fi, err)
 				}
-				eng.SetEncodedExec(false)
 				eng.DropCache()
-				off, err := eng.Execute(mkPlan())
+				got, err := eng.Execute(mkPlan())
 				if err != nil {
-					t.Fatalf("keys %d aggs %d filter %d: encoded off: %v", ki, ai, fi, err)
+					t.Fatalf("keys %d aggs %d filter %d: disk: %v", ki, ai, fi, err)
 				}
-				eng.SetEncodedExec(true)
-				eng.DropCache()
-				on, err := eng.Execute(mkPlan())
-				if err != nil {
-					t.Fatalf("keys %d aggs %d filter %d: encoded on: %v", ki, ai, fi, err)
-				}
-				if !table.EqualRows(want, off) {
-					t.Fatalf("keys %d aggs %d filter %d: generic differs from memory oracle", ki, ai, fi)
-				}
-				if !table.EqualRows(want, on) {
-					t.Fatalf("keys %d aggs %d filter %d: encoded fold differs from oracle", ki, ai, fi)
+				if !table.EqualRows(want, got) {
+					t.Fatalf("keys %d aggs %d filter %d: cold aggregate differs from memory oracle", ki, ai, fi)
 				}
 			}
 		}
@@ -659,15 +638,15 @@ func TestParallelReadMatchesSingleWorker(t *testing.T) {
 func TestEncodedReadV1Fallback(t *testing.T) {
 	dir := t.TempDir()
 	tbl := rowsTable(0, 50)
-	if err := atomicWriteFile(dir+"/seg-v1.nxs", EncodeSegmentV1(tbl)); err != nil {
+	if err := atomicWriteFile(dir+"/seg-v1.nxs", encodeSegmentV1(tbl)); err != nil {
 		t.Fatal(err)
 	}
 	positions := []int{0, 2}
-	es, err := ReadSegmentFileColumnsEncoded(dir+"/seg-v1.nxs", positions, nil)
+	es, err := readSegmentFileEncoded(dir+"/seg-v1.nxs", positions, nil, newWorkGroup())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadSegmentFileColumns(dir+"/seg-v1.nxs", positions)
+	dec, err := readSegmentFileColumns(dir+"/seg-v1.nxs", positions, nil, newWorkGroup())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestHostileNullPlaceholderCode(t *testing.T) {
 // reader allocates unprobed, and for a run of adjacent pages whose last
 // member is cut off.
 func TestHostileDirectoryShortFile(t *testing.T) {
-	data := EncodeSegment(lowCardTable(130))
+	data := encodeSegment(lowCardTable(130))
 	all := []int{0, 1, 2}
 	if _, err := readSegmentEncoded(bytes.NewReader(data), all, nil, newWorkGroup()); err != nil {
 		t.Fatalf("control: %v", err)

@@ -34,13 +34,6 @@ import (
 //     (float sums stay sequential), same NULL handling. The
 //     differential suite holds the two paths byte-identical.
 
-// SetEncodedExec toggles encoded execution (on by default). Turning it
-// off forces every scan and aggregate through the materialize-first
-// paths — the oracle the differential tests compare against.
-func (e *Engine) SetEncodedExec(on bool) { e.encodedOff.Store(!on) }
-
-func (e *Engine) encodedOn() bool { return !e.encodedOff.Load() }
-
 // EncodedScans returns how many segment reads the encoded pre-filter
 // served.
 func (e *Engine) EncodedScans() int64 { return e.encodedScans.Load() }
@@ -96,9 +89,6 @@ func encodedFilterTable(es *EncodedSegment, preds []planner.ScanPred) (*table.Ta
 // pages. ok=false means the fragment (or the engine's state) wants the
 // generic path.
 func (e *Engine) encodedAgg(n core.Node) (*table.Table, bool, error) {
-	if !e.encodedOn() {
-		return nil, false, nil
-	}
 	agg, ok := planner.AnalyzeAggAccess(n)
 	if !ok || len(agg.Keys) > 1 {
 		return nil, false, nil

@@ -123,8 +123,8 @@ func TestEncodedSegmentSmaller(t *testing.T) {
 		)
 	}
 	tab := b.Build()
-	v1 := len(EncodeSegmentV1(tab))
-	v2 := len(EncodeSegment(tab))
+	v1 := len(encodeSegmentV1(tab))
+	v2 := len(encodeSegment(tab))
 	if v2*2 > v1 {
 		t.Fatalf("v2 segment is %d bytes vs %d plain v1 — encodings bought less than 2x", v2, v1)
 	}
@@ -159,11 +159,11 @@ func TestMixedVersionSegments(t *testing.T) {
 
 	// Rewrite the first segment file in the v1 layout — exactly what a
 	// directory written by the previous release holds.
-	seg0, err := ReadSegmentFile(dir + "/" + refs[0].File)
+	seg0, err := readSegmentFile(dir+"/"+refs[0].File, nil, newWorkGroup())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(dir+"/"+refs[0].File, EncodeSegmentV1(seg0.Table)); err != nil {
+	if err := atomicWriteFile(dir+"/"+refs[0].File, encodeSegmentV1(seg0.Table)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,11 +183,11 @@ func TestMixedVersionSegments(t *testing.T) {
 	// Projected reads work on both versions (v1 falls back to a full
 	// read; v2 fetches only the selected pages) and agree byte-for-byte.
 	for i, ref := range refs {
-		full, err := ReadSegmentFile(dir + "/" + ref.File)
+		full, err := readSegmentFile(dir+"/"+ref.File, nil, newWorkGroup())
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := ReadSegmentFileColumns(dir+"/"+ref.File, []int{0, 2})
+		proj, err := readSegmentFileColumns(dir+"/"+ref.File, []int{0, 2}, nil, newWorkGroup())
 		if err != nil {
 			t.Fatalf("segment %d projected read: %v", i, err)
 		}
@@ -200,8 +200,8 @@ func TestMixedVersionSegments(t *testing.T) {
 	}
 
 	// And the v2 projected read is genuinely cheaper than the whole file.
-	full1, _ := ReadSegmentFile(dir + "/" + refs[1].File)
-	proj1, _ := ReadSegmentFileColumns(dir+"/"+refs[1].File, []int{0})
+	full1, _ := readSegmentFile(dir+"/"+refs[1].File, nil, newWorkGroup())
+	proj1, _ := readSegmentFileColumns(dir+"/"+refs[1].File, []int{0}, nil, newWorkGroup())
 	if proj1.FileBytes >= full1.FileBytes {
 		t.Fatalf("v2 projected read consumed %d bytes, full read %d — no byte savings", proj1.FileBytes, full1.FileBytes)
 	}
@@ -254,7 +254,7 @@ func TestSegmentHostilePageDirectory(t *testing.T) {
 		if err := atomicWriteFile(path, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSegmentFileColumns(path, []int{0}); err == nil {
+		if _, err := readSegmentFileColumns(path, []int{0}, nil, newWorkGroup()); err == nil {
 			t.Fatalf("%s: hostile page directory read successfully from file", hostile.name)
 		}
 	}
@@ -291,7 +291,7 @@ func TestRLEPageRowCap(t *testing.T) {
 // it is what the mixed-version guarantee rests on.
 func TestSegmentV1Roundtrip(t *testing.T) {
 	for _, tab := range []*table.Table{rowsTable(0, 100), rowsTable(0, 0), nullableTable()} {
-		data := EncodeSegmentV1(tab)
+		data := encodeSegmentV1(tab)
 		seg, err := DecodeSegment(data)
 		if err != nil {
 			t.Fatal(err)

@@ -39,11 +39,8 @@ type Engine struct {
 	segmentsScanned atomic.Int64
 	segmentsSkipped atomic.Int64
 
-	// Encoded execution (see encodedexec.go): encodedOff disables the
-	// encoded kernels (they are on by default — the flag is inverted so
-	// the zero value enables them); the counters report how often each
+	// Encoded execution (see encodedexec.go): how often each encoded
 	// kernel served a query.
-	encodedOff   atomic.Bool
 	encodedScans atomic.Int64
 	encodedAggs  atomic.Int64
 
@@ -478,7 +475,7 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 		// materialize only survivors. The stack above re-runs the full
 		// predicates, so this is safe even when acc.Preds is not the whole
 		// filter — but every conjunct's column must be among those read.
-		encoded := positions != nil && len(acc.Preds) > 0 && e.encodedOn()
+		encoded := positions != nil && len(acc.Preds) > 0
 		for _, p := range acc.Preds {
 			encoded = encoded && outSch.IndexOf(p.Col) >= 0
 		}

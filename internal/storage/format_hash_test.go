@@ -66,9 +66,9 @@ func TestFormatBytesUnchanged(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"segment v2", EncodeSegment(tbl), "6d5fc4ad4dc1030823cb1890268ff2b7eb42226dd4a425e5de57ec7e502a1290"},
+		{"segment v2", encodeSegment(tbl), "6d5fc4ad4dc1030823cb1890268ff2b7eb42226dd4a425e5de57ec7e502a1290"},
 		{"segment v3", v3, "defb5077e45b63fe82b5c187718180cab0fd95d4d2213d3e1d8c23345094348e"},
-		{"segment v1", EncodeSegmentV1(tbl), "2e2b9269cb8d0017abd14ff35b3dc76c522490e2c4ba0fa01f16561a7be85ea1"},
+		{"segment v1", encodeSegmentV1(tbl), "2e2b9269cb8d0017abd14ff35b3dc76c522490e2c4ba0fa01f16561a7be85ea1"},
 		{"wire table", wire.EncodeTable(tbl), "77f563bc1235eec7c2e73ae504745956f6527a89b49160382eaf2c27250d721f"},
 		{"manifest", EncodeManifest(man), "e0bad9e5cca8431ab4743a4377d4d811183bb84c06709b13a8adb80def88ffc6"},
 	} {

@@ -12,13 +12,13 @@ import (
 // must either return an error or a segment whose rows survive a
 // re-encode/decode round trip — never panic, never fabricate rows.
 func FuzzSegment(f *testing.F) {
-	f.Add(EncodeSegment(rowsTable(0, 10)))
-	f.Add(EncodeSegment(rowsTable(0, 0)))
-	f.Add(EncodeSegment(nullableTable()))
+	f.Add(encodeSegment(rowsTable(0, 10)))
+	f.Add(encodeSegment(rowsTable(0, 0)))
+	f.Add(encodeSegment(nullableTable()))
 	// Legacy v1 seeds: the decoder dispatches on the version byte and
 	// must stay robust for both layouts.
-	f.Add(EncodeSegmentV1(rowsTable(0, 10)))
-	f.Add(EncodeSegmentV1(nullableTable()))
+	f.Add(encodeSegmentV1(rowsTable(0, 10)))
+	f.Add(encodeSegmentV1(nullableTable()))
 	// A dict-heavy v2 seed (few distinct values over many rows) steers
 	// the fuzzer at the non-plain page decoders.
 	small := rowsTable(0, 10)
@@ -27,7 +27,7 @@ func FuzzSegment(f *testing.F) {
 		parts[i] = small
 	}
 	if repeated, err := small.Concat(parts...); err == nil {
-		f.Add(EncodeSegment(repeated))
+		f.Add(encodeSegment(repeated))
 	}
 	// v3 seeds: segments whose string pages resolve through a shared
 	// dictionary. fuzzDicts below carries the same dictionary into the
@@ -42,7 +42,7 @@ func FuzzSegment(f *testing.F) {
 	f.Add(hostileCode)
 
 	// A few structurally-broken seeds steer the fuzzer at the armor.
-	trunc := EncodeSegment(rowsTable(0, 3))
+	trunc := encodeSegment(rowsTable(0, 3))
 	f.Add(trunc[:len(trunc)-2])
 	flip := append([]byte(nil), trunc...)
 	flip[len(flip)/2] ^= 0xff
@@ -109,7 +109,7 @@ func FuzzSegment(f *testing.F) {
 		if int64(seg.Table.NumRows()) != seg.Meta.Rows {
 			t.Fatalf("decoded segment claims %d rows, table has %d", seg.Meta.Rows, seg.Table.NumRows())
 		}
-		re2, err := DecodeSegment(EncodeSegment(seg.Table))
+		re2, err := DecodeSegment(encodeSegment(seg.Table))
 		if err != nil {
 			t.Fatalf("re-encoded segment fails to decode: %v", err)
 		}

@@ -201,9 +201,9 @@ type pageRef struct {
 	length int
 }
 
-// EncodeSegment serializes a table as one current-version (v2) segment:
+// EncodeSegmentDict serializes a table as one segment:
 //
-//	magic | u8 version=2 | u32 metaLen | meta | u32 crc32(meta) | pages
+//	magic | u8 version | u32 metaLen | meta | u32 crc32(meta) | pages
 //	meta  := schema | u32 ncols | ncols×{u64 pageOff, u32 pageLen} | footer
 //	footer:= u64 schema hash | i64 row count | zone maps
 //	page  := u8 pageVersion | u8 encoding | u32 rows | u32 payloadLen |
@@ -212,13 +212,8 @@ type pageRef struct {
 // The meta block and each page carry their own CRC, so a projected read
 // (header + meta + a subset of pages) verifies every byte it touches
 // without reading the rest of the file. Page encodings are chosen per
-// column by choosePageEncoding.
-func EncodeSegment(t *table.Table) []byte {
-	return EncodeSegmentDict(t, nil, false)
-}
-
-// EncodeSegmentDict is EncodeSegment with a shared-dictionary set:
-// string columns whose private-dict encoding would win are written as
+// column by choosePageEncoding. With a shared-dictionary set, string
+// columns whose private-dict encoding would win are written as
 // PageEncDictShared pages when the dataset's dictionary covers their
 // values — or, with grow set, can be extended to cover them (the caller
 // must commit the grown dictionaries in the same manifest generation as
@@ -309,31 +304,6 @@ func sharedDictFor(dicts DictSet, name string, col *table.Column, grow bool) *Sh
 	return d
 }
 
-// EncodeSegmentV1 serializes a table in the legacy v1 layout:
-//
-//	magic | u8 version=1 | u32 bodyLen | body | u32 crc32(body)
-//	body := table pages (wire.PutTable) | footer
-//	footer := schema hash | row count | zone maps
-//
-// The current writer always emits v2; this encoder is kept as
-// executable documentation of the v1 layout and for the mixed-version
-// read tests — DecodeSegment accepts both versions side by side.
-func EncodeSegmentV1(t *table.Table) []byte {
-	var body wire.Encoder
-	wire.PutTable(&body, t)
-	body.U64(SchemaHash(t.Schema()))
-	body.I64(int64(t.NumRows()))
-	putZones(&body, ComputeZones(t))
-
-	var e wire.Encoder
-	e.Raw(segMagic)
-	e.U8(segVersionV1)
-	e.U32(uint32(body.Len()))
-	e.Raw(body.Bytes())
-	e.U32(crc32.ChecksumIEEE(body.Bytes()))
-	return e.Bytes()
-}
-
 // DecodeSegment parses and verifies a segment encoding of any supported
 // version. Every failure mode — bad magic, bad version, truncation, CRC
 // mismatch, footer disagreeing with the pages — is an error, never a
@@ -405,8 +375,8 @@ func VerifySegment(b []byte) error {
 }
 
 // SegmentPageEncodings reports the page encoding of every column of a
-// v2/v3 segment encoding, in schema order (tests and the storage bench
-// use it to assert what a writer actually chose).
+// v2/v3 segment encoding, in schema order (tests use it to assert what
+// a writer actually chose).
 func SegmentPageEncodings(b []byte) ([]uint8, error) {
 	ver, err := segmentVersion(b)
 	if err != nil {
@@ -617,17 +587,8 @@ func WriteSegmentFileDict(dir, name string, t *table.Table, dicts DictSet, grow 
 	}, nil
 }
 
-// ReadSegmentFile reads and fully verifies one segment file.
-func ReadSegmentFile(path string) (*Segment, error) {
-	return ReadSegmentFileDicts(path, nil)
-}
-
-// ReadSegmentFileDicts is ReadSegmentFile resolving shared-dict pages
-// through the dataset's dictionaries.
-func ReadSegmentFileDicts(path string, dicts DictSet) (*Segment, error) {
-	return readSegmentFile(path, dicts, newWorkGroup())
-}
-
+// readSegmentFile reads and fully verifies one segment file, resolving
+// shared-dict pages through dicts and decoding its pages on g.
 func readSegmentFile(path string, dicts DictSet, g *workGroup) (*Segment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -640,27 +601,12 @@ func readSegmentFile(path string, dicts DictSet, g *workGroup) (*Segment, error)
 	return seg, nil
 }
 
-// ReadSegmentFileColumns reads only the named column positions of a
+// readSegmentFileColumns reads only the named column positions of a
 // segment file (positions index the segment's full schema, ascending).
-// For a v2 segment this fetches the header, the meta block, and the
-// selected pages — the returned Segment's FileBytes reports exactly the
-// bytes consumed, which is how the benchmarks demonstrate projected
-// cold scans reading less. A v1 segment has no page directory, so it is
-// read whole and projected in memory (correct, just not cheaper). The
-// returned Segment's Table and Meta.Zones cover only the selected
-// columns, in the given order.
-func ReadSegmentFileColumns(path string, positions []int) (*Segment, error) {
-	return ReadSegmentFileColumnsDicts(path, positions, nil)
-}
-
-// ReadSegmentFileColumnsDicts is ReadSegmentFileColumns resolving
-// shared-dict pages through the dataset's dictionaries. It is the
-// materializing wrapper over the encoded read: every page is decoded to
-// a plain column.
-func ReadSegmentFileColumnsDicts(path string, positions []int, dicts DictSet) (*Segment, error) {
-	return readSegmentFileColumns(path, positions, dicts, newWorkGroup())
-}
-
+// It is the materializing wrapper over readSegmentFileEncoded: every
+// selected page is decoded to a plain column. The returned Segment's
+// FileBytes reports exactly the bytes consumed, and its Table and
+// Meta.Zones cover only the selected columns, in the given order.
 func readSegmentFileColumns(path string, positions []int, dicts DictSet, g *workGroup) (*Segment, error) {
 	es, err := readSegmentFileEncoded(path, positions, dicts, g)
 	if err != nil {
@@ -681,18 +627,16 @@ func readSegmentFileColumns(path string, positions []int, dicts DictSet, g *work
 	return &Segment{Table: t, Meta: es.Meta, FileBytes: es.FileBytes}, nil
 }
 
-// ReadSegmentFileColumnsEncoded reads only the named column positions of
-// a segment file, leaving each page in its encoded form (see
+// readSegmentFileEncoded reads only the named column positions of a
+// segment file, leaving each page in its encoded form (see
 // EncodedColumn) — the entry point of encoded execution, where
 // predicates run over runs, dictionary codes and undecoded fixed-width
-// payloads before any row is materialized. Framing, CRCs, payload
-// lengths and code bounds are verified exactly as a decoding read would.
-// A v1 segment has no page directory and no compressed pages, so it is
-// read whole and its projected columns wrapped as plain views.
-func ReadSegmentFileColumnsEncoded(path string, positions []int, dicts DictSet) (*EncodedSegment, error) {
-	return readSegmentFileEncoded(path, positions, dicts, newWorkGroup())
-}
-
+// payloads before any row is materialized. For a v2/v3 segment this
+// fetches the header, the meta block and the selected pages; framing,
+// CRCs, payload lengths and code bounds are verified exactly as a
+// decoding read would. A v1 segment has no page directory and no
+// compressed pages, so it is read whole and its projected columns
+// wrapped as plain views.
 func readSegmentFileEncoded(path string, positions []int, dicts DictSet, g *workGroup) (*EncodedSegment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -855,7 +799,7 @@ func readRange(r io.ReaderAt, off int64, n int) ([]byte, error) {
 }
 
 // projectSegment narrows a fully-decoded segment to the given column
-// positions (the v1 fallback path of ReadSegmentFileColumns).
+// positions (the v1 fallback path of readSegmentFileEncoded).
 func projectSegment(seg *Segment, positions []int) (*Segment, error) {
 	for _, c := range positions {
 		if c < 0 || c >= seg.Table.NumCols() {

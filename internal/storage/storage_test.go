@@ -31,7 +31,7 @@ func rowsTable(lo, hi int64) *table.Table {
 
 func TestSegmentRoundtrip(t *testing.T) {
 	in := rowsTable(0, 100)
-	data := EncodeSegment(in)
+	data := encodeSegment(in)
 	seg, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
