@@ -274,12 +274,22 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 	}
 
 	// Merge and sort outside the lock — segments are immutable, so the
-	// reads need no coordination with writers. Inputs are read WITHOUT
-	// populating the decoded-segment cache: a background pass over a
-	// never-queried dataset must not pin the whole dataset in RAM.
+	// reads need no coordination with writers. Inputs reuse a cached
+	// entry but are read WITHOUT populating the segment cache: a
+	// background pass over a never-queried dataset must not pin the whole
+	// dataset in RAM, and the inputs are about to be deleted anyway.
 	parts := make([]*table.Table, 0, len(cands))
+	g := newWorkGroup()
 	for _, c := range cands {
-		t, err := s.readSegmentUncached(name, c.ref)
+		es, _, dicts := s.lookup(name, c.ref, nil)
+		var err error
+		if es == nil {
+			es, err = s.readFile(g, c.ref, nil, dicts)
+		}
+		var t *table.Table
+		if err == nil {
+			t, err = es.materialize(g, nil)
+		}
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) || isStaleDict(err) {
 				return 0, 0, 0, 0, nil // raced a concurrent swap; try next pass
@@ -455,42 +465,16 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 	// wants them reads and caches them like any other segment.
 	s.man = next
 	s.cacheGen++ // in-flight reads of the purged files must not re-cache them
+	for key := range s.encs {
+		if file, _, _ := strings.Cut(key, "?"); candSet[file] {
+			delete(s.encs, key)
+		}
+	}
 	for _, c := range cands {
-		delete(s.segs, c.ref.File)
-		for k := range s.segs {
-			if strings.HasPrefix(k, c.ref.File+"?") {
-				delete(s.segs, k)
-			}
-		}
-		for k := range s.encs {
-			if strings.HasPrefix(k, c.ref.File+"?") {
-				delete(s.encs, k)
-			}
-		}
 		os.Remove(filepath.Join(s.dir, c.ref.File))
 	}
 	if next.Gen > 1 {
 		os.Remove(filepath.Join(s.dir, manifestName(next.Gen-1)))
 	}
 	return len(cands), len(outs), bytesIn, bytesOut, nil
-}
-
-// readSegmentUncached materializes a segment, reusing a cached table if
-// one exists but never inserting into the cache (compaction's read
-// path: the inputs are about to be deleted).
-func (s *Store) readSegmentUncached(name string, ref SegmentRef) (*table.Table, error) {
-	s.mu.RLock()
-	t, ok := s.segs[ref.File]
-	dicts := s.dictsLocked(name)
-	s.mu.RUnlock()
-	if ok {
-		return t, nil
-	}
-	seg, err := readSegmentFile(filepath.Join(s.dir, ref.File), dicts, newWorkGroup())
-	if err != nil {
-		return nil, err
-	}
-	metBytesReadFull.Add(seg.FileBytes)
-	s.bytesRead.Add(seg.FileBytes)
-	return seg.Table, nil
 }

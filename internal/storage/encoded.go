@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"nexus/internal/schema"
@@ -66,10 +67,12 @@ func (ec *EncodedColumn) Kind() value.Kind { return ec.kind }
 // Encoding returns the page encoding this view was parsed from.
 func (ec *EncodedColumn) Encoding() uint8 { return ec.enc }
 
-// EncodedSegment is a projected segment read whose columns stay in
-// encoded form: what readSegmentFileEncoded returns and the
-// encoded scan/aggregate paths consume. Schema, Meta.Zones and Cols
-// cover only the selected columns, in selection order.
+// EncodedSegment is a segment read whose columns stay in encoded form:
+// what readSegmentEncoded returns, the segment cache holds, and every
+// scan, aggregate and dataset load consumes. Schema, Meta.Zones and
+// Cols cover only the selected columns, in selection order. FileBytes
+// is how many file bytes the read consumed (0 for a segment Flush cached
+// from the table it wrote).
 type EncodedSegment struct {
 	Schema    schema.Schema
 	Cols      []*EncodedColumn
@@ -78,16 +81,58 @@ type EncodedSegment struct {
 }
 
 // encodedFromColumn wraps an already-materialized column so callers can
-// treat warm tables, tails, and v1 segments uniformly with encoded
-// pages.
+// treat tails, freshly flushed tables and v1 segments uniformly with
+// encoded pages.
 func encodedFromColumn(col *table.Column) *EncodedColumn {
 	return &EncodedColumn{kind: col.Kind(), rows: col.Len(), enc: PageEncPlain, col: col}
 }
 
+// wrapTable views every column of a materialized table as an encoded
+// segment, without copying.
+func wrapTable(t *table.Table, meta SegmentMeta) *EncodedSegment {
+	cols := make([]*EncodedColumn, t.NumCols())
+	for i := range cols {
+		cols[i] = encodedFromColumn(t.Col(i))
+	}
+	return &EncodedSegment{Schema: t.Schema(), Cols: cols, Meta: meta}
+}
+
+// project picks the given column positions of the segment, sharing the
+// parsed columns.
+func (es *EncodedSegment) project(positions []int) (*EncodedSegment, error) {
+	cols := make([]*EncodedColumn, len(positions))
+	zones := make([]ZoneMap, len(positions))
+	for i, c := range positions {
+		if c < 0 || c >= len(es.Cols) {
+			return nil, fmt.Errorf("projected column %d out of %d", c, len(es.Cols))
+		}
+		cols[i], zones[i] = es.Cols[c], es.Meta.Zones[c]
+	}
+	return &EncodedSegment{
+		Schema:    es.Schema.Project(positions),
+		Cols:      cols,
+		Meta:      SegmentMeta{SchemaHash: es.Meta.SchemaHash, Rows: es.Meta.Rows, Zones: zones},
+		FileBytes: es.FileBytes,
+	}, nil
+}
+
+// materialize decodes the rows in sel (nil = every row) of every column
+// into a table, one column per task on g.
+func (es *EncodedSegment) materialize(g *workGroup, sel []int) (*table.Table, error) {
+	cols := make([]*table.Column, len(es.Cols))
+	err := g.forEach(len(cols), func(i int) (err error) {
+		cols[i], err = es.Cols[i].materialize(sel)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return table.New(es.Schema, cols)
+}
+
 // parsePageEncoded parses one page into its encoded view without
 // materializing rows: the single page parser — CRC, framing, exact
-// payload lengths and code bounds are all verified here, and decodePage
-// is this plus Materialize.
+// payload lengths and code bounds are all verified here.
 func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, error) {
 	enc, rows, d, err := parsePageHeader(b)
 	if err != nil {
@@ -167,41 +212,59 @@ func cmpHoldsEnc(op value.BinOp, c int) bool {
 // entry, and on plain pages one typed range test per row read straight
 // from the payload bytes (andPlain).
 func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool) {
+	ec.matcher(op, val)(0, acc)
+}
+
+// matcher does the per-page half of AndMatches once — the verdict of
+// every RLE run or distinct dictionary entry — and returns the per-row
+// half over any row range: and(lo, acc) ANDs the predicate into acc for
+// rows lo … lo+len(acc)-1, so morsels of one page can be tested side by
+// side. On an RLE page a morsel binary-searches the first rejected run
+// it overlaps and clears only the rejected runs inside its range.
+func (ec *EncodedColumn) matcher(op value.BinOp, val value.Value) (and func(lo int, acc []bool)) {
 	switch ec.enc {
 	case PageEncRLE:
+		var bad [][2]int // rows [start, end) of each run the predicate rejects
 		at := 0
 		for i, n := range ec.runLens {
 			if !cmpHoldsEnc(op, value.Compare(ec.runVals[i], val)) {
-				for j := at; j < at+n; j++ {
-					acc[j] = false
-				}
+				bad = append(bad, [2]int{at, at + n})
 			}
 			at += n
+		}
+		return func(lo int, acc []bool) {
+			hi := lo + len(acc)
+			i, _ := slices.BinarySearchFunc(bad, lo+1, func(b [2]int, t int) int { return b[1] - t }) // first ending past lo
+			for ; i < len(bad) && bad[i][0] < hi; i++ {
+				clear(acc[max(bad[i][0], lo)-lo : min(bad[i][1], hi)-lo])
+			}
 		}
 	case PageEncDict, PageEncDictShared:
 		verdict := make([]bool, ec.dict.Len())
 		for c := range verdict {
 			verdict[c] = cmpHoldsEnc(op, value.Compare(ec.dict.Value(c), val))
 		}
-		codes := ec.raw[:4*len(acc)]
-		if ec.valid == nil {
-			// Which rows match is rarely predictable; keep the store
-			// unconditional so there is no branch to mispredict.
-			for r := range acc {
-				hold := verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])]
-				acc[r] = acc[r] && hold
+		return func(lo int, acc []bool) {
+			codes := ec.raw[4*lo : 4*(lo+len(acc))]
+			if ec.valid == nil {
+				// Which rows match is rarely predictable; keep the store
+				// unconditional so there is no branch to mispredict.
+				for r := range acc {
+					hold := verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])]
+					acc[r] = acc[r] && hold
+				}
+				return
 			}
-			return
-		}
-		for r, ok := range ec.valid {
-			if ok && !verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])] {
-				acc[r] = false
+			valid := ec.valid[lo : lo+len(acc)]
+			for r, ok := range valid {
+				if ok && !verdict[binary.BigEndian.Uint32(codes[4*r:4*r+4])] {
+					acc[r] = false
+				}
 			}
+			andNulls(valid, op, val, acc)
 		}
-		andNulls(ec.valid, op, val, acc)
-	default: // plain (and wrapped columns)
-		ec.andPlain(op, val, acc)
 	}
+	return func(lo int, acc []bool) { ec.andPlain(op, val, lo, acc) } // plain (and wrapped columns)
 }
 
 // andNulls applies the predicate's verdict on NULL to the NULL rows,
@@ -226,40 +289,45 @@ func andNulls(valid []bool, op value.BinOp, val value.Value, acc []bool) {
 // range, so a loop is one range test per row. Everything else (bool
 // columns, cross-kind and NULL constants, a NaN constant, which the
 // total order places below every number) takes the boxed comparison.
-func (ec *EncodedColumn) andPlain(op value.BinOp, val value.Value, acc []bool) {
+// acc covers rows first … first+len(acc)-1.
+func (ec *EncodedColumn) andPlain(op value.BinOp, val value.Value, first int, acc []bool) {
+	end := first + len(acc)
 	valid := ec.valid
 	if ec.col != nil {
 		valid = ec.col.Validity()
+	}
+	if valid != nil {
+		valid = valid[first:end]
 	}
 	c, numeric := val.AsFloat()
 	switch {
 	case ec.kind == value.KindInt64 && val.Kind() == value.KindInt64:
 		lo, hi, outside := opRange(op, val.Int(), math.MaxInt64, val.Int()+1)
 		if ec.col != nil {
-			andRange(ec.col.Ints(), valid, lo, hi, outside, acc)
+			andRange(ec.col.Ints()[first:end], valid, lo, hi, outside, acc)
 		} else {
-			andRangeRaw(ec.raw, false, valid, lo, hi, outside, acc)
+			andRangeRaw(ec.raw[8*first:8*end], false, valid, lo, hi, outside, acc)
 		}
 	case (ec.kind == value.KindInt64 || ec.kind == value.KindFloat64) && numeric && c == c:
 		lo, hi, outside := opRange(op, c, math.Inf(1), math.Nextafter(c, math.Inf(1)))
 		switch {
 		case ec.col == nil:
-			andRangeRaw(ec.raw, ec.kind == value.KindFloat64, valid, lo, hi, outside, acc)
+			andRangeRaw(ec.raw[8*first:8*end], ec.kind == value.KindFloat64, valid, lo, hi, outside, acc)
 		case ec.kind == value.KindInt64:
-			andRange(ec.col.Ints(), valid, lo, hi, outside, acc)
+			andRange(ec.col.Ints()[first:end], valid, lo, hi, outside, acc)
 		default:
-			andRange(ec.col.Floats(), valid, lo, hi, outside, acc)
+			andRange(ec.col.Floats()[first:end], valid, lo, hi, outside, acc)
 		}
 	case ec.kind == value.KindString && val.Kind() == value.KindString:
 		s := val.Str()
-		for r, v := range ec.col.Strs() {
+		for r, v := range ec.col.Strs()[first:end] {
 			if acc[r] && (valid == nil || valid[r]) && !cmpHoldsEnc(op, strings.Compare(v, s)) {
 				acc[r] = false
 			}
 		}
 	default:
 		for r := range acc {
-			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.plainValue(r), val)) {
+			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.plainValue(first+r), val)) {
 				acc[r] = false
 			}
 		}

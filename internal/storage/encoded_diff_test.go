@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nexus/internal/core"
@@ -25,8 +26,8 @@ import (
 //     row-at-a-time oracle over the decoded column, for every encoding a
 //     column admits (plain, RLE, dict, shared dict), across NULLs, row
 //     counts straddling the encoder thresholds, and all six operators;
-//   - engine level: filtered+projected scans with encoded execution on
-//     vs off vs the in-memory relational engine;
+//   - engine level: filtered+projected scans vs the in-memory relational
+//     engine;
 //   - aggregate level: GroupAgg plans served by the encoded fold vs the
 //     generic runtime.
 
@@ -148,7 +149,7 @@ func TestEncodedPageDifferential(t *testing.T) {
 			for _, enc := range encs {
 				ctx := pageCtx{col: name, dict: dict}
 				page := encodePage(col, enc, dict)
-				dec, err := decodePage(page, kind, ctx)
+				dec, err := pageColumn(page, kind, ctx)
 				if err != nil {
 					t.Fatalf("%s/%s rows=%d: decode: %v", name, encodingName(enc), rows, err)
 				}
@@ -196,6 +197,7 @@ func TestEncodedPageDifferential(t *testing.T) {
 									name, encodingName(enc), r, dec.Value(r), op, cv, got[r], want)
 							}
 						}
+						checkMorsels(t, ec, op, cv, pre, got, rng, name+"/"+encodingName(enc))
 					}
 				}
 
@@ -297,7 +299,7 @@ func TestEncodedLazyEagerDifferential(t *testing.T) {
 			what := cc.name + "/" + encodingName(enc)
 			ctx := pageCtx{col: "c", dict: dict}
 			page := encodePage(cc.col, enc, dict)
-			dec, err := decodePage(page, kind, ctx)
+			dec, err := pageColumn(page, kind, ctx)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", what, err)
 			}
@@ -324,6 +326,7 @@ func TestEncodedLazyEagerDifferential(t *testing.T) {
 									what, vname, r, cc.col.Value(r), op, cv, got[r], want)
 							}
 						}
+						checkMorsels(t, ec, op, cv, pre, got, rng, what+" "+vname)
 					}
 				}
 				var sel []int
@@ -349,6 +352,20 @@ func TestEncodedLazyEagerDifferential(t *testing.T) {
 	}
 }
 
+// checkMorsels requires the page's verdicts to come out the same when
+// its rows are tested as two morsels split at a random row, as the
+// pre-filter's work group tests them.
+func checkMorsels(t *testing.T, ec *EncodedColumn, op value.BinOp, cv value.Value, pre, want []bool, rng *rand.Rand, what string) {
+	t.Helper()
+	got := append([]bool(nil), pre...)
+	and, k := ec.matcher(op, cv), rng.Intn(len(got)+1)
+	and(0, got[:k])
+	and(k, got[k:])
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %v %v split at row %d differs from the whole page", what, op, cv, k)
+	}
+}
+
 func allRows(n int) []int {
 	sel := make([]int, n)
 	for i := range sel {
@@ -358,14 +375,15 @@ func allRows(n int) []int {
 }
 
 // buildDiffDataset appends batches sized to hit every encoder
-// threshold, flushing between them (one segment per batch, so v3
+// threshold — and one whose pages the pre-filter tests in several row
+// morsels — flushing between them (one segment per batch, so v3
 // shared-dict pages appear and the dictionary grows across flushes) and
 // leaving the last batch in the unflushed tail. Returns the
 // concatenated whole for the in-memory oracle.
 func buildDiffDataset(t *testing.T, eng *Engine, rng *rand.Rand) *table.Table {
 	t.Helper()
 	var next int64
-	batches := []int{63, 80, 64, 130, 5}
+	batches := []int{63, 80, 64, 130, 40000, 5}
 	var parts []*table.Table
 	for i, n := range batches {
 		p := genDiffTable(rng, n, &next)
@@ -636,25 +654,18 @@ func TestParallelReadMatchesSingleWorker(t *testing.T) {
 // segment has no pages to stay encoded in, so it decodes whole and
 // wraps — and must still answer identically.
 func TestEncodedReadV1Fallback(t *testing.T) {
-	dir := t.TempDir()
 	tbl := rowsTable(0, 50)
-	if err := atomicWriteFile(dir+"/seg-v1.nxs", encodeSegmentV1(tbl)); err != nil {
-		t.Fatal(err)
-	}
-	positions := []int{0, 2}
-	es, err := readSegmentFileEncoded(dir+"/seg-v1.nxs", positions, nil, newWorkGroup())
+	positions := []int{2, 0}
+	es, err := readSegmentEncoded(bytes.NewReader(encodeSegmentV1(tbl)), positions, nil, newWorkGroup())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := readSegmentFileColumns(dir+"/seg-v1.nxs", positions, nil, newWorkGroup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := tbl.Project(positions)
 	for i, ec := range es.Cols {
 		mat, err := ec.Materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		colEq(t, dec.Table.Col(i), mat, "v1 fallback col")
+		colEq(t, want.Col(i), mat, "v1 fallback col")
 	}
 }

@@ -32,13 +32,9 @@ func tamperedPage(page []byte, off int, v uint32) []byte {
 	return p
 }
 
-// mustFailPage asserts both decode paths (materializing and encoded)
-// reject the page.
+// mustFailPage asserts the page parser rejects the page.
 func mustFailPage(t *testing.T, page []byte, kind value.Kind, ctx pageCtx, what string) {
 	t.Helper()
-	if _, err := decodePage(page, kind, ctx); err == nil {
-		t.Fatalf("%s: decodePage accepted hostile page", what)
-	}
 	if _, err := parsePageEncoded(page, kind, ctx); err == nil {
 		t.Fatalf("%s: parsePageEncoded accepted hostile page", what)
 	}
@@ -69,8 +65,8 @@ func TestHostileSharedDictPage(t *testing.T) {
 	page, dict := sharedTestPage(t)
 	ctx := pageCtx{col: "tier", dict: dict}
 
-	// Sanity: the untampered page round-trips on both paths.
-	if _, err := decodePage(page, value.KindString, ctx); err != nil {
+	// Sanity: the untampered page parses and materializes.
+	if _, err := pageColumn(page, value.KindString, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 	ec, err := parsePageEncoded(page, value.KindString, ctx)
@@ -93,11 +89,8 @@ func TestHostileSharedDictPage(t *testing.T) {
 	// Epoch mismatch must surface as the dedicated stale-dictionary
 	// error, the signal readSnapshot retries on and stale plans refuse.
 	bumped := &SharedDict{Col: "tier", Epoch: dict.Epoch + 1, Vals: dict.Vals}
-	if _, err := decodePage(page, value.KindString, pageCtx{col: "tier", dict: bumped}); !isStaleDict(err) {
-		t.Fatalf("epoch mismatch: got %v, want stale-dict error", err)
-	}
 	if _, err := parsePageEncoded(page, value.KindString, pageCtx{col: "tier", dict: bumped}); !isStaleDict(err) {
-		t.Fatalf("epoch mismatch (encoded): got %v, want stale-dict error", err)
+		t.Fatalf("epoch mismatch: got %v, want stale-dict error", err)
 	}
 
 	// No dictionary at all: the page is undecodable, not a panic.
@@ -107,10 +100,10 @@ func TestHostileSharedDictPage(t *testing.T) {
 	// fetched segments before the manifest carrying the dicts applies)
 	// but must still bounds-check the codes.
 	structural := pageCtx{col: "tier", structural: true}
-	if _, err := decodePage(page, value.KindString, structural); err != nil {
+	if _, err := parsePageEncoded(page, value.KindString, structural); err != nil {
 		t.Fatalf("structural verify of good page: %v", err)
 	}
-	if _, err := decodePage(hostile, value.KindString, structural); err == nil {
+	if _, err := parsePageEncoded(hostile, value.KindString, structural); err == nil {
 		t.Fatal("structural verify accepted out-of-range code")
 	}
 }
@@ -123,7 +116,7 @@ func TestHostileRLEPage(t *testing.T) {
 	col := b.Build().Col(0)
 	page := encodePage(col, PageEncRLE, nil)
 	ctx := pageCtx{col: "k"}
-	if _, err := decodePage(page, value.KindInt64, ctx); err != nil {
+	if _, err := pageColumn(page, value.KindInt64, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 
@@ -153,7 +146,7 @@ func TestHostilePrivateDictPage(t *testing.T) {
 	col := b.Build().Col(0)
 	page := encodePage(col, PageEncDict, nil)
 	ctx := pageCtx{col: "s"}
-	if _, err := decodePage(page, value.KindString, ctx); err != nil {
+	if _, err := pageColumn(page, value.KindString, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 	// A private-dict page carries its entries inline; the codes are the
@@ -351,7 +344,7 @@ func TestHostileManifestTruncation(t *testing.T) {
 }
 
 // TestHostileSegmentSharedTruncation truncates a v3 segment at every
-// length: DecodeSegmentDicts and VerifySegment must error, never panic.
+// length: the full read and VerifySegment must error, never panic.
 func TestHostileSegmentSharedTruncation(t *testing.T) {
 	dicts := DictSet{}
 	tbl := lowCardTable(130)
@@ -359,7 +352,7 @@ func TestHostileSegmentSharedTruncation(t *testing.T) {
 	if data[len(segMagic)] != segVersionV3 {
 		t.Fatalf("seed segment is v%d, want v3", data[len(segMagic)])
 	}
-	if _, err := DecodeSegmentDicts(data, dicts); err != nil {
+	if _, _, err := readTable(data, nil, dicts); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	if err := VerifySegment(data); err != nil {
@@ -370,7 +363,7 @@ func TestHostileSegmentSharedTruncation(t *testing.T) {
 		step = 7
 	}
 	for i := 0; i < len(data); i += step {
-		if _, err := DecodeSegmentDicts(data[:i], dicts); err == nil {
+		if _, _, err := readTable(data[:i], nil, dicts); err == nil {
 			t.Fatalf("truncated segment (%d/%d bytes) decoded", i, len(data))
 		}
 		if err := VerifySegment(data[:i]); err == nil {

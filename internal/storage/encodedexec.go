@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nexus/internal/core"
 	"nexus/internal/engines/exec"
@@ -42,47 +43,60 @@ func (e *Engine) EncodedScans() int64 { return e.encodedScans.Load() }
 // served without materializing the dataset.
 func (e *Engine) EncodedAggs() int64 { return e.encodedAggs.Load() }
 
+// matchMorsel is how many rows one pre-filter task tests: the morsels
+// of a page run side by side on the work group.
+const matchMorsel = 1 << 14
+
 // encodedMatches ANDs every conjunct over the part's encoded columns
 // (at least one; every conjunct's column must be in sch — callers check
-// both once per query, not per part).
-func encodedMatches(sch schema.Schema, cols []*EncodedColumn, preds []planner.ScanPred) []bool {
+// both once per query, not per part), in row morsels on g. Each morsel's
+// verdicts also go to then, if set, while they are still in cache.
+func encodedMatches(g *workGroup, sch schema.Schema, cols []*EncodedColumn, preds []planner.ScanPred, then func(m, lo int, acc []bool)) ([]bool, error) {
+	and := make([]func(lo int, acc []bool), len(preds))
+	for i, p := range preds {
+		and[i] = cols[sch.IndexOf(p.Col)].matcher(p.Op, p.Val)
+	}
 	match := make([]bool, cols[0].Rows())
-	for i := range match {
-		match[i] = true
-	}
-	for _, p := range preds {
-		cols[sch.IndexOf(p.Col)].AndMatches(p.Op, p.Val, match)
-	}
-	return match
+	err := g.forEach((len(match)+matchMorsel-1)/matchMorsel, func(m int) error {
+		lo := m * matchMorsel
+		acc := match[lo:min(lo+matchMorsel, len(match))]
+		for i := range acc {
+			acc[i] = true
+		}
+		for _, f := range and {
+			f(lo, acc)
+		}
+		if then != nil {
+			then(m, lo, acc)
+		}
+		return nil
+	})
+	return match, err
 }
 
 // encodedFilterTable materializes only the rows of an encoded segment
 // that pass every conjunct.
-func encodedFilterTable(es *EncodedSegment, preds []planner.ScanPred) (*table.Table, error) {
-	match := encodedMatches(es.Schema, es.Cols, preds)
-	n := 0
-	for _, m := range match {
-		if m {
-			n++
-		}
-	}
-	var sel []int // nil selects every row
-	if n < len(match) {
-		sel = make([]int, 0, n)
-		for r, m := range match {
-			if m {
-				sel = append(sel, r)
+func encodedFilterTable(g *workGroup, es *EncodedSegment, preds []planner.ScanPred) (*table.Table, error) {
+	rows := es.Cols[0].Rows()
+	sels := make([][]int, (rows+matchMorsel-1)/matchMorsel)
+	_, err := encodedMatches(g, es.Schema, es.Cols, preds, func(m, lo int, acc []bool) {
+		for r, ok := range acc {
+			if ok {
+				sels[m] = append(sels[m], lo+r)
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]*table.Column, len(es.Cols))
-	for i, ec := range es.Cols {
-		var err error
-		if cols[i], err = ec.materialize(sel); err != nil {
-			return nil, err
-		}
+	sel := slices.Concat(sels...)
+	switch {
+	case len(sel) == rows:
+		sel = nil // every row
+	case sel == nil:
+		sel = []int{} // no row
 	}
-	return table.New(es.Schema, cols)
+	return es.materialize(g, sel)
 }
 
 // encodedAgg serves a GroupAgg over a cold scan directly from encoded
@@ -116,21 +130,11 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 	var out *table.Table
 	unservable := false
 	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
-		sch, _ := e.st.Schema(name)
-		if !sch.Equal(agg.Scan.Schema()) || len(agg.Cols) == 0 {
+		sch, positions, proj, ok := e.resolve(agg.ScanAccess)
+		if !ok || len(agg.Cols) == 0 {
 			unservable = true
 			return nil
 		}
-		positions := make([]int, 0, len(agg.Cols))
-		for _, c := range agg.Cols {
-			i := sch.IndexOf(c)
-			if i < 0 {
-				unservable = true
-				return nil
-			}
-			positions = append(positions, i)
-		}
-		proj := sch.Project(positions)
 		keyIdx := -1
 		if len(agg.Keys) == 1 {
 			if keyIdx = proj.IndexOf(agg.Keys[0]); keyIdx < 0 {
@@ -148,20 +152,14 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 				}
 			}
 		}
-		for _, p := range agg.Preds {
-			if proj.IndexOf(p.Col) < 0 {
-				unservable = true
-				return nil
-			}
-		}
 
 		live, skipped := pruneSegments(sch, refs, agg.Preds)
 		segs := make([]*EncodedSegment, len(live))
 		matches := make([][]bool, len(live))
 		g := newWorkGroup()
 		err := g.forEach(len(live), func(i int) (err error) {
-			if segs[i], err = e.st.readSegmentEncoded(g, name, live[i], positions); err == nil && segs[i].Meta.Rows > 0 {
-				matches[i] = encodedMatches(proj, segs[i].Cols, agg.Preds)
+			if segs[i], err = e.st.read(g, name, live[i], positions); err == nil && segs[i].Meta.Rows > 0 {
+				matches[i], err = encodedMatches(g, proj, segs[i].Cols, agg.Preds, nil)
 			}
 			return err
 		})
@@ -177,11 +175,12 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 			if p.NumRows() == 0 {
 				continue
 			}
-			ecols := make([]*EncodedColumn, len(positions))
-			for i, c := range positions {
-				ecols[i] = encodedFromColumn(p.Col(c))
+			ecols := wrapTable(p.Project(positions), SegmentMeta{}).Cols
+			match, err := encodedMatches(g, proj, ecols, agg.Preds, nil)
+			if err != nil {
+				return err
 			}
-			st.addPart(ecols, encodedMatches(proj, ecols, agg.Preds), keyIdx, argIdx)
+			st.addPart(ecols, match, keyIdx, argIdx)
 		}
 		out, err = st.build(outSchema, len(agg.Keys))
 		return err

@@ -195,7 +195,7 @@ func b2i(b bool) int {
 // the shared dictionary its PageEncDictShared codes resolve through (nil
 // when the dataset has none — such pages then fail to decode), and the
 // structural flag (verify-only: shared pages are bounds-checked but not
-// materialized, so replication can verify a fetched segment before the
+// resolved, so replication can verify a fetched segment before the
 // manifest carrying its dictionary has been applied).
 type pageCtx struct {
 	col        string
@@ -255,21 +255,6 @@ func parsePageHeader(b []byte) (enc uint8, rows int, payload *wire.Decoder, err 
 		return 0, 0, nil, fmt.Errorf("storage: column page header disagrees with page size")
 	}
 	return enc, rows, d, nil
-}
-
-// decodePage parses and verifies one column page of the given kind,
-// materializing it as a plain column. The whole page (header through
-// trailing CRC) must be the input. In structural mode a shared-dict page
-// returns a nil column after its framing and code bounds are verified.
-func decodePage(b []byte, kind value.Kind, ctx pageCtx) (*table.Column, error) {
-	ec, err := parsePageEncoded(b, kind, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ec.enc == PageEncDictShared && ctx.structural {
-		return nil, nil // verified, not materialized
-	}
-	return ec.Materialize()
 }
 
 // ---------------------------------------------------------------------------

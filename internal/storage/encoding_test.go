@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"hash/crc32"
-
+	"os"
 	"testing"
 
 	"nexus/internal/schema"
@@ -62,7 +63,7 @@ func TestPageEncodingRoundtrip(t *testing.T) {
 func checkPageRoundtrip(t *testing.T, name string, col *table.Column, enc uint8) {
 	t.Helper()
 	page := encodePage(col, enc, nil)
-	got, err := decodePage(page, col.Kind(), pageCtx{})
+	got, err := pageColumn(page, col.Kind(), pageCtx{})
 	if err != nil {
 		t.Fatalf("%s/%s: decode: %v", name, encodingName(enc), err)
 	}
@@ -77,7 +78,7 @@ func checkPageRoundtrip(t *testing.T, name string, col *table.Column, enc uint8)
 	// Corrupt any byte: the page CRC must catch it.
 	bad := append([]byte(nil), page...)
 	bad[len(bad)/2] ^= 0x20
-	if _, err := decodePage(bad, col.Kind(), pageCtx{}); err == nil {
+	if _, err := pageColumn(bad, col.Kind(), pageCtx{}); err == nil {
 		t.Fatalf("%s/%s: corrupted page decoded successfully", name, encodingName(enc))
 	}
 }
@@ -159,11 +160,11 @@ func TestMixedVersionSegments(t *testing.T) {
 
 	// Rewrite the first segment file in the v1 layout — exactly what a
 	// directory written by the previous release holds.
-	seg0, err := readSegmentFile(dir+"/"+refs[0].File, nil, newWorkGroup())
+	seg0, _, err := readTable(mustReadFile(t, dir+"/"+refs[0].File), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(dir+"/"+refs[0].File, encodeSegmentV1(seg0.Table)); err != nil {
+	if err := atomicWriteFile(dir+"/"+refs[0].File, encodeSegmentV1(seg0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,28 +184,167 @@ func TestMixedVersionSegments(t *testing.T) {
 	// Projected reads work on both versions (v1 falls back to a full
 	// read; v2 fetches only the selected pages) and agree byte-for-byte.
 	for i, ref := range refs {
-		full, err := readSegmentFile(dir+"/"+ref.File, nil, newWorkGroup())
+		data := mustReadFile(t, dir+"/"+ref.File)
+		full, fullSeg, err := readTable(data, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := readSegmentFileColumns(dir+"/"+ref.File, []int{0, 2}, nil, newWorkGroup())
+		proj, projSeg, err := readTable(data, []int{0, 2}, nil)
 		if err != nil {
 			t.Fatalf("segment %d projected read: %v", i, err)
 		}
-		if !table.EqualRows(full.Table.Project([]int{0, 2}), proj.Table) {
+		if !table.EqualRows(full.Project([]int{0, 2}), proj) {
 			t.Fatalf("segment %d: projected read differs from full read", i)
 		}
-		if proj.FileBytes <= 0 || proj.FileBytes > full.FileBytes {
-			t.Fatalf("segment %d: projected read consumed %d of %d file bytes", i, proj.FileBytes, full.FileBytes)
+		if projSeg.FileBytes <= 0 || projSeg.FileBytes > fullSeg.FileBytes {
+			t.Fatalf("segment %d: projected read consumed %d of %d file bytes", i, projSeg.FileBytes, fullSeg.FileBytes)
 		}
 	}
 
 	// And the v2 projected read is genuinely cheaper than the whole file.
-	full1, _ := readSegmentFile(dir+"/"+refs[1].File, nil, newWorkGroup())
-	proj1, _ := readSegmentFileColumns(dir+"/"+refs[1].File, []int{0}, nil, newWorkGroup())
+	data1 := mustReadFile(t, dir+"/"+refs[1].File)
+	_, full1, _ := readTable(data1, nil, nil)
+	_, proj1, _ := readTable(data1, []int{0}, nil)
 	if proj1.FileBytes >= full1.FileBytes {
 		t.Fatalf("v2 projected read consumed %d bytes, full read %d — no byte savings", proj1.FileBytes, full1.FileBytes)
 	}
+}
+
+// TestReadFormsAgree holds the three Store read forms — ReadSegment,
+// ReadSegmentColumns and ReadSegmentEncoded + Materialize — wire-identical
+// to the rows written, over v1, v2 and v3 segments, every column or a
+// subset, and each cache state a read can meet: a miss, a hit on the same
+// key, an all-column entry serving a projection, an entry Flush inserted,
+// and a read after DropSegmentCache. A miss costs exactly the bytes the
+// read consumes (the whole file for every column or a v1 segment; header,
+// meta block and the selected pages otherwise), a hit costs none.
+func TestReadFormsAgree(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := []*table.Table{rowsTable(0, 100), rowsTable(100, 200), lowCardTable(130)}
+	appendFlush := func(tbl *table.Table) {
+		t.Helper()
+		if err := st.Append("d", tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tbl := range written {
+		appendFlush(tbl)
+	}
+	refs, _, _ := st.Segments("d")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicWriteFile(dir+"/"+refs[0].File, encodeSegmentV1(written[0])); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	written = append(written, rowsTable(300, 400)) // cached by its Flush
+	appendFlush(written[3])
+	refs, _, _ = st.Segments("d")
+	for i, ver := range []uint8{segVersionV1, segVersion, segVersionV3, segVersion} {
+		if got := mustReadFile(t, dir+"/"+refs[i].File)[len(segMagic)]; got != ver {
+			t.Fatalf("segment %d is v%d, want v%d", i, got, ver)
+		}
+	}
+
+	// cost is what a miss reading positions of segment i consumes.
+	cost := func(i int, positions []int) int64 {
+		data := mustReadFile(t, dir+"/"+refs[i].File)
+		if positions == nil || data[len(segMagic)] == segVersionV1 {
+			return int64(len(data))
+		}
+		metaLen := headerMetaLen(data)
+		_, _, pages, err := decodeSegmentMetaV2(data[segHeaderLen:], metaLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(segHeaderLen + metaLen + 4)
+		for _, c := range positions {
+			n += int64(pages[c].length)
+		}
+		return n
+	}
+	// check reads positions of segment i through every form; the first
+	// read misses or hits as told, the rest hit.
+	check := func(i int, positions []int, miss bool) {
+		t.Helper()
+		ref, want := refs[i], written[i]
+		if positions != nil {
+			want = want.Project(positions)
+		}
+		type form struct {
+			name string
+			read func() (*table.Table, error)
+		}
+		forms := []form{
+			{"ReadSegmentColumns", func() (*table.Table, error) { return st.ReadSegmentColumns("d", ref, positions) }},
+			{"ReadSegmentEncoded", func() (*table.Table, error) {
+				es, err := st.ReadSegmentEncoded("d", ref, positions)
+				if err != nil {
+					return nil, err
+				}
+				cols := make([]*table.Column, len(es.Cols))
+				for c, ec := range es.Cols {
+					if cols[c], err = ec.Materialize(); err != nil {
+						return nil, err
+					}
+				}
+				return table.New(es.Schema, cols)
+			}},
+		}
+		if positions == nil {
+			forms = append([]form{{"ReadSegment", func() (*table.Table, error) { return st.ReadSegment("d", ref) }}}, forms...)
+		}
+		for k, f := range forms {
+			before := st.BytesRead()
+			got, err := f.read()
+			if err != nil {
+				t.Fatalf("segment %d %v %s: %v", i, positions, f.name, err)
+			}
+			if !bytes.Equal(wire.EncodeTable(want), wire.EncodeTable(got)) {
+				t.Fatalf("segment %d %v %s: rows differ from those written", i, positions, f.name)
+			}
+			var wantBytes int64
+			if k == 0 && miss {
+				wantBytes = cost(i, positions)
+			}
+			if got := st.BytesRead() - before; got != wantBytes {
+				t.Fatalf("segment %d %v %s: read %d bytes, want %d", i, positions, f.name, got, wantBytes)
+			}
+		}
+	}
+
+	const miss, hit = true, false
+	check(3, nil, hit)         // the entry Flush inserted
+	check(3, []int{2, 0}, hit) // ... serving a projection
+	for i := range refs {
+		st.DropSegmentCache()
+		check(i, []int{1}, miss)
+		check(i, []int{1}, hit)
+		check(i, []int{2, 0}, miss)
+		check(i, nil, miss)
+		check(i, nil, hit)
+		check(i, []int{0}, hit) // the all-column entry serving a projection
+	}
+}
+
+func mustReadFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestSegmentHostilePageDirectory pins the decoder against a
@@ -244,17 +384,22 @@ func TestSegmentHostilePageDirectory(t *testing.T) {
 		e.U32(uint32(meta.Len()))
 		e.Raw(meta.Bytes())
 		e.U32(crc32.ChecksumIEEE(meta.Bytes()))
-		if _, err := DecodeSegment(e.Bytes()); err == nil {
+		if _, _, err := readTable(e.Bytes(), nil, nil); err == nil {
 			t.Fatalf("%s: hostile page directory decoded successfully", hostile.name)
 		}
-		// The file-based projected reader must reject it too (and must
-		// not allocate the bogus length).
-		dir := t.TempDir()
-		path := dir + "/seg-hostile.nxs"
+		// A projected read from a file must reject it too (and must not
+		// allocate the bogus length).
+		path := t.TempDir() + "/seg-hostile.nxs"
 		if err := atomicWriteFile(path, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readSegmentFileColumns(path, []int{0}, nil, newWorkGroup()); err == nil {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = readSegmentEncoded(f, []int{0}, nil, newWorkGroup())
+		f.Close()
+		if err == nil {
 			t.Fatalf("%s: hostile page directory read successfully from file", hostile.name)
 		}
 	}
@@ -277,7 +422,7 @@ func TestRLEPageRowCap(t *testing.T) {
 	e.U32(uint32(payload.Len()))
 	e.Raw(payload.Bytes())
 	e.U32(crc32.ChecksumIEEE(e.Bytes()))
-	if _, err := decodePage(e.Bytes(), value.KindInt64, pageCtx{}); err == nil {
+	if _, err := pageColumn(e.Bytes(), value.KindInt64, pageCtx{}); err == nil {
 		t.Fatal("hostile RLE row count decoded successfully")
 	}
 	// The writer never chooses RLE above the cap either (synthetic check
@@ -292,11 +437,11 @@ func TestRLEPageRowCap(t *testing.T) {
 func TestSegmentV1Roundtrip(t *testing.T) {
 	for _, tab := range []*table.Table{rowsTable(0, 100), rowsTable(0, 0), nullableTable()} {
 		data := encodeSegmentV1(tab)
-		seg, err := DecodeSegment(data)
+		got, _, err := readTable(data, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !table.EqualRows(tab, seg.Table) {
+		if !table.EqualRows(tab, got) {
 			t.Fatal("v1 segment rows differ after roundtrip")
 		}
 		for _, off := range []int{len(segMagic) + 6, len(data) / 2, len(data) - 3} {
@@ -305,7 +450,7 @@ func TestSegmentV1Roundtrip(t *testing.T) {
 			}
 			bad := append([]byte(nil), data...)
 			bad[off] ^= 0x40
-			if _, err := DecodeSegment(bad); err == nil {
+			if _, _, err := readTable(bad, nil, nil); err == nil {
 				t.Fatalf("corrupt v1 byte at %d decoded successfully", off)
 			}
 		}

@@ -249,8 +249,8 @@ func (e *Engine) invalidate(name string) {
 	e.mu.Unlock()
 }
 
-// DropCache forgets every warm table and the decoded-segment cache, so
-// the next scan is genuinely cold (benchmarks).
+// DropCache forgets every warm table and the segment cache, so the next
+// scan is genuinely cold (benchmarks).
 func (e *Engine) DropCache() {
 	e.mu.Lock()
 	e.mat = map[string]*table.Table{}
@@ -314,23 +314,22 @@ func (e *Engine) Datasets() []provider.DatasetInfo {
 	return out
 }
 
-// dataset resolves a scan: warm RAM copy if present, otherwise
-// materialize from one consistent segments+tail snapshot (via
-// Store.readSnapshot, which retries when a compaction swap deletes a
-// file under it) and keep the copy warm — unless an invalidation ran
-// while materializing, in which case the stale table is returned for
-// this query but not cached.
-func (e *Engine) dataset(name string) (*table.Table, bool) {
+// load resolves a scan: warm RAM copy if present, otherwise materialize
+// from one consistent segments+tail snapshot (via Store.readSnapshot,
+// which retries when a compaction swap deletes a file under it) and keep
+// the copy warm — unless an invalidation ran while materializing, in
+// which case the stale table is returned for this query but not cached.
+func (e *Engine) load(name string) (*table.Table, error) {
 	e.mu.Lock()
 	t, ok := e.mat[name]
 	gen := e.matGen
 	e.mu.Unlock()
 	if ok {
-		return t, true
+		return t, nil
 	}
 	out, segments, err := e.st.dataset(name)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	e.countSegments(segments, 0)
 	e.mu.Lock()
@@ -338,7 +337,15 @@ func (e *Engine) dataset(name string) (*table.Table, bool) {
 		e.mat[name] = out
 	}
 	e.mu.Unlock()
-	return out, true
+	return out, nil
+}
+
+// dataset is load as the runtime's dataset resolver. A read error shows
+// here only as an unknown dataset, so override loads a bare scan's
+// dataset first and reports the error itself.
+func (e *Engine) dataset(name string) (*table.Table, bool) {
+	t, err := e.load(name)
+	return t, err == nil
 }
 
 // Execute implements provider.Provider. The runtime's Override hook
@@ -389,7 +396,13 @@ func (e *Engine) override(n core.Node, env *exec.Env, rec exec.RecFunc) (*table.
 		return nil, false, nil
 	}
 	if _, isScan := n.(*core.Scan); isScan {
-		return nil, false, nil // bare full-width scan: generic path materializes + warms
+		// Bare full-width scan: load and warm the dataset here, where a
+		// read error can be returned as itself; the generic path then
+		// serves the warm copy.
+		if _, err := e.load(acc.Scan.Dataset); err != nil && !errors.Is(err, errNoDataset) {
+			return nil, false, err
+		}
+		return nil, false, nil
 	}
 	if len(acc.Preds) == 0 && acc.Cols == nil {
 		return nil, false, nil // nothing to prune, nothing to project
@@ -452,54 +465,33 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 	var out *table.Table
 	unservable := false // schema drift: let the generic path report it
 	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
-		sch, _ := e.st.Schema(name)
-		if !sch.Equal(acc.Scan.Schema()) {
+		sch, positions, outSch, ok := e.resolve(acc)
+		if !ok {
 			unservable = true
 			return nil
-		}
-		var positions []int
-		outSch := sch
-		if acc.Cols != nil {
-			positions = make([]int, 0, len(acc.Cols))
-			for _, c := range acc.Cols {
-				i := sch.IndexOf(c)
-				if i < 0 {
-					unservable = true // stale plan vs dataset schema
-					return nil
-				}
-				positions = append(positions, i)
-			}
-			outSch = sch.Project(positions)
 		}
 		// Encoded pre-filter: evaluate the conjuncts over the pages and
 		// materialize only survivors. The stack above re-runs the full
 		// predicates, so this is safe even when acc.Preds is not the whole
-		// filter — but every conjunct's column must be among those read.
-		encoded := positions != nil && len(acc.Preds) > 0
-		for _, p := range acc.Preds {
-			encoded = encoded && outSch.IndexOf(p.Col) >= 0
-		}
+		// filter.
 		live, skipped := pruneSegments(sch, refs, acc.Preds)
 		tables := make([]*table.Table, len(live), len(live)+len(parts))
 		g := newWorkGroup()
-		err := g.forEach(len(live), func(i int) (err error) {
+		err := g.forEach(len(live), func(i int) error {
+			es, err := e.st.read(g, name, live[i], positions)
 			switch {
-			case encoded:
-				var es *EncodedSegment
-				if es, err = e.st.readSegmentEncoded(g, name, live[i], positions); err == nil {
-					tables[i], err = encodedFilterTable(es, acc.Preds)
-				}
-			case positions != nil:
-				tables[i], err = e.st.readSegmentColumns(g, name, live[i], positions)
+			case err != nil:
+			case len(acc.Preds) > 0:
+				tables[i], err = encodedFilterTable(g, es, acc.Preds)
 			default:
-				tables[i], err = e.st.readSegment(g, name, live[i])
+				tables[i], err = es.materialize(g, nil)
 			}
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		if encoded {
+		if len(acc.Preds) > 0 {
 			e.encodedScans.Add(int64(len(live)))
 			metEncodedScans.Add(int64(len(live)))
 		}
@@ -520,6 +512,37 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 		return nil, false, err
 	}
 	return out, true, nil
+}
+
+// resolve maps the columns a scan fragment reads onto the dataset's
+// current schema sch: their positions (nil when acc.Cols is nil: every
+// column) and the schema those positions read. ok is false — the generic
+// path must serve the fragment, and report what is wrong — when the
+// dataset's schema no longer matches the plan's, a column is gone, or a
+// conjunct's column is not among those read.
+func (e *Engine) resolve(acc planner.ScanAccess) (sch schema.Schema, positions []int, read schema.Schema, ok bool) {
+	sch, _ = e.st.Schema(acc.Scan.Dataset)
+	if !sch.Equal(acc.Scan.Schema()) {
+		return sch, nil, sch, false
+	}
+	read = sch
+	if acc.Cols != nil {
+		positions = make([]int, 0, len(acc.Cols))
+		for _, c := range acc.Cols {
+			i := sch.IndexOf(c)
+			if i < 0 {
+				return sch, nil, sch, false
+			}
+			positions = append(positions, i)
+		}
+		read = sch.Project(positions)
+	}
+	for _, p := range acc.Preds {
+		if read.IndexOf(p.Col) < 0 {
+			return sch, nil, sch, false
+		}
+	}
+	return sch, positions, read, true
 }
 
 // pruneSegments returns the segments whose zone maps can satisfy every

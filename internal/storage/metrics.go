@@ -41,16 +41,15 @@ var (
 		"File bytes of segments produced by compaction.")
 
 	metSegCache = obs.Default.CounterVec("nexus_storage_segment_cache_total",
-		"Decoded-segment cache lookups by result.", "result")
+		"Segment cache lookups by result; the cache holds parsed, not materialized, segments.", "result")
 	metSegCacheHit  = metSegCache.With("hit")
 	metSegCacheMiss = metSegCache.With("miss")
 
 	metBytesRead = obs.Default.CounterVec("nexus_storage_bytes_read_total",
-		"Segment-file bytes read from disk, by read mode (full segment vs projected columns).",
+		"Segment-file bytes read from disk, by read mode (every column vs a subset of columns).",
 		"mode")
 	metBytesReadFull      = metBytesRead.With("full")
 	metBytesReadProjected = metBytesRead.With("projected")
-	metBytesReadEncoded   = metBytesRead.With("encoded")
 
 	metEncodedScans = obs.Default.Counter("nexus_storage_encoded_scans_total",
 		"Cold scans answered by the encoded path: predicates evaluated over "+
@@ -59,7 +58,7 @@ var (
 		"Grouped aggregations folded directly over encoded pages.")
 
 	metSegScanned = obs.Default.Counter("nexus_storage_segments_scanned_total",
-		"Segments materialized by scans.")
+		"Segments read by scans, aggregates and dataset loads.")
 	metSegPruned = obs.Default.Counter("nexus_storage_segments_pruned_total",
 		"Segments skipped by zone-map pruning.")
 )

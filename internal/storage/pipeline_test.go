@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,9 +20,9 @@ import (
 
 // pipelinePlans returns one plan per engine read path over dataset "d"
 // of rowsTable's schema, each selecting exactly the rows with k < below:
-// a projected filtered scan (accessTable, encoded pre-filter), a
-// full-width filtered scan (accessTable, decoded segments) and a global
-// count under the same filter (aggTable).
+// a projected filtered scan and a full-width filtered scan (accessTable,
+// encoded pre-filter over some or every column) and a global count under
+// the same filter (aggTable).
 func pipelinePlans(t *testing.T, below int64) (scans []core.Node, count core.Node) {
 	t.Helper()
 	sch := rowsTable(0, 1).Schema()
@@ -96,6 +98,64 @@ func TestFailedScanLeavesNoGoroutines(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > baseline {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after failed scans, %d before:\n%s", got, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestBareScanReportsReadError corrupts the last page of a flushed
+// segment: a cold whole-dataset scan must fail with the storage error
+// naming the checksum, not report the dataset as unknown.
+func TestBareScanReportsReadError(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := OpenEngine("disk", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Append("d", rowsTable(0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	refs, _, _ := eng.Backing().Segments("d")
+	path := filepath.Join(dir, refs[0].File)
+	data := mustReadFile(t, path)
+	data[len(data)-10] ^= 0xff // inside the last page, before its CRC
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng.DropCache()
+	sc, _ := core.NewScan("d", rowsTable(0, 1).Schema())
+	if _, err := eng.Execute(sc); err == nil || !strings.Contains(err.Error(), "crc mismatch") {
+		t.Fatalf("scan over a corrupt segment: got %v, want a crc mismatch", err)
+	}
+}
+
+// TestWorkGroupContainsPanics: a task that panics — here on the caller
+// and on a worker goroutine at once — fails forEach with an error
+// carrying the panic value and stack instead of killing the process, and
+// every worker has exited when forEach returns.
+func TestWorkGroupContainsPanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	baseline := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		var started sync.WaitGroup
+		started.Add(2)
+		err := newWorkGroup().forEach(2, func(i int) error {
+			started.Done()
+			started.Wait() // both tasks run at once, so one is on a worker
+			panic(fmt.Sprintf("task %d exploded", i))
+		})
+		if err == nil || !strings.Contains(err.Error(), "exploded") || !strings.Contains(err.Error(), "goroutine") {
+			t.Fatalf("round %d: forEach returned %v, want the panic value and stack", round, err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Fatalf("%d goroutines after panicking tasks, %d before", got, baseline)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"nexus/internal/table"
 )
 
 // Segment replication, storage side. The existing generation protocol
@@ -227,10 +225,9 @@ func (s *Store) ApplyReplicatedManifest(raw []byte) error {
 	s.man = m
 	s.nextSeg = m.NextSeg
 	s.tails = map[string]*tail{} // a replica holds no local writes
-	// Purge the decoded-segment cache wholesale: a compaction on the
-	// primary retires files this cache may still hold, and nothing would
-	// ever evict them.
-	s.segs = map[string]*table.Table{}
+	// Purge the segment cache wholesale: a compaction on the primary
+	// retires files this cache may still hold, and nothing would ever
+	// evict them.
 	s.encs = map[string]*EncodedSegment{}
 	s.cacheGen++
 	if m.Gen > 0 && oldMan.Gen > 0 {

@@ -110,15 +110,6 @@ type SegmentMeta struct {
 	Zones      []ZoneMap // one per column
 }
 
-// Segment is a decoded segment: its rows plus the footer metadata.
-// FileBytes is how many bytes the reader actually consumed — the whole
-// file for full reads, header+meta+selected pages for projected reads.
-type Segment struct {
-	Table     *table.Table
-	Meta      SegmentMeta
-	FileBytes int64
-}
-
 // SchemaHash digests a schema (names, kinds, dimension tags, in order);
 // segments and manifests carry it so a reader detects schema drift
 // before misreading pages.
@@ -304,41 +295,9 @@ func sharedDictFor(dicts DictSet, name string, col *table.Column, grow bool) *Sh
 	return d
 }
 
-// DecodeSegment parses and verifies a segment encoding of any supported
-// version. Every failure mode — bad magic, bad version, truncation, CRC
-// mismatch, footer disagreeing with the pages — is an error, never a
-// panic: the fuzz target FuzzSegment feeds this arbitrary bytes.
-func DecodeSegment(b []byte) (*Segment, error) {
-	return DecodeSegmentDicts(b, nil)
-}
-
-// DecodeSegmentDicts decodes a segment resolving PageEncDictShared pages
-// through dicts (the dataset's shared dictionaries). A nil set decodes
-// every pre-v3 segment; v3 segments then fail with a descriptive error
-// rather than misread.
-func DecodeSegmentDicts(b []byte, dicts DictSet) (*Segment, error) {
-	return decodeSegment(b, dicts, nil)
-}
-
-// decodeSegment is DecodeSegmentDicts decoding a paged segment's pages
-// on g.
-func decodeSegment(b []byte, dicts DictSet, g *workGroup) (*Segment, error) {
-	ver, err := segmentVersion(b)
-	if err != nil {
-		return nil, err
-	}
-	switch ver {
-	case segVersionV1:
-		return decodeSegmentV1(b)
-	case segVersion, segVersionV3:
-		return decodeSegmentV2(b, dicts, g)
-	}
-	return nil, fmt.Errorf("storage: unsupported segment version %d", ver)
-}
-
 // VerifySegment structurally verifies a segment encoding without needing
 // shared dictionaries: every CRC, every framing rule, and every code
-// bound is checked, but PageEncDictShared pages are not materialized (and
+// bound is checked, but PageEncDictShared pages are not resolved (and
 // their epoch is not compared — the dictionary may not have arrived yet).
 // Replication uses this to vet a fetched segment file before the manifest
 // generation carrying its dictionary has been applied.
@@ -348,7 +307,7 @@ func VerifySegment(b []byte) error {
 		return err
 	}
 	if ver == segVersionV1 {
-		_, err := decodeSegmentV1(b)
+		_, _, err := decodeSegmentV1(b)
 		return err
 	}
 	if ver != segVersion && ver != segVersionV3 {
@@ -363,44 +322,15 @@ func VerifySegment(b []byte) error {
 			return fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
 		}
 		ctx := pageCtx{col: sch.At(c).Name, structural: true}
-		col, err := decodePage(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
+		ec, err := parsePageEncoded(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
 		if err != nil {
 			return fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
 		}
-		if col != nil && int64(col.Len()) != meta.Rows {
-			return fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
+		if int64(ec.Rows()) != meta.Rows {
+			return fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, ec.Rows(), meta.Rows)
 		}
 	}
 	return nil
-}
-
-// SegmentPageEncodings reports the page encoding of every column of a
-// v2/v3 segment encoding, in schema order (tests use it to assert what
-// a writer actually chose).
-func SegmentPageEncodings(b []byte) ([]uint8, error) {
-	ver, err := segmentVersion(b)
-	if err != nil {
-		return nil, err
-	}
-	if ver != segVersion && ver != segVersionV3 {
-		return nil, fmt.Errorf("storage: segment version %d has no page directory", ver)
-	}
-	_, _, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
-	if err != nil {
-		return nil, err
-	}
-	encs := make([]uint8, len(refs))
-	for c, ref := range refs {
-		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return nil, fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
-		}
-		enc, _, _, err := parsePageHeader(b[ref.off : ref.off+int64(ref.length)])
-		if err != nil {
-			return nil, fmt.Errorf("storage: column %d: %w", c, err)
-		}
-		encs[c] = enc
-	}
-	return encs, nil
 }
 
 // segmentVersion checks the magic and returns the version byte.
@@ -417,25 +347,25 @@ func segmentVersion(b []byte) (uint8, error) {
 }
 
 // decodeSegmentV1 parses the legacy whole-body layout.
-func decodeSegmentV1(b []byte) (*Segment, error) {
+func decodeSegmentV1(b []byte) (*table.Table, SegmentMeta, error) {
 	d := wire.NewDecoder(b[len(segMagic)+1:])
 	bodyLen := int(d.U32())
 	if bodyLen < 0 || bodyLen > d.Remaining()-4 {
-		return nil, fmt.Errorf("storage: segment body length %d exceeds file", bodyLen)
+		return nil, SegmentMeta{}, fmt.Errorf("storage: segment body length %d exceeds file", bodyLen)
 	}
 	body := d.RawN(bodyLen)
 	crc := d.U32()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return nil, SegmentMeta{}, err
 	}
 	if got := crc32.ChecksumIEEE(body); got != crc {
-		return nil, fmt.Errorf("storage: segment crc mismatch (got %08x, want %08x)", got, crc)
+		return nil, SegmentMeta{}, fmt.Errorf("storage: segment crc mismatch (got %08x, want %08x)", got, crc)
 	}
 
 	bd := wire.NewDecoder(body)
 	t := wire.GetTable(bd)
 	if err := bd.Err(); err != nil {
-		return nil, fmt.Errorf("storage: segment pages: %w", err)
+		return nil, SegmentMeta{}, fmt.Errorf("storage: segment pages: %w", err)
 	}
 	meta := SegmentMeta{
 		SchemaHash: bd.U64(),
@@ -443,55 +373,15 @@ func decodeSegmentV1(b []byte) (*Segment, error) {
 	}
 	meta.Zones = getZones(bd)
 	if err := bd.Err(); err != nil {
-		return nil, fmt.Errorf("storage: segment footer: %w", err)
+		return nil, SegmentMeta{}, fmt.Errorf("storage: segment footer: %w", err)
 	}
 	if meta.Zones == nil && t.NumCols() > 0 {
-		return nil, fmt.Errorf("storage: segment footer has no zone maps")
+		return nil, SegmentMeta{}, fmt.Errorf("storage: segment footer has no zone maps")
 	}
 	if err := checkSegmentMeta(meta, t); err != nil {
-		return nil, err
+		return nil, SegmentMeta{}, err
 	}
-	return &Segment{Table: t, Meta: meta, FileBytes: int64(len(b))}, nil
-}
-
-// decodeSegmentV2 parses the paged layout (v2 and v3 — same bytes, v3
-// may hold shared-dict pages resolved through dicts) from a fully-read
-// file, decoding its pages on g.
-func decodeSegmentV2(b []byte, dicts DictSet, g *workGroup) (*Segment, error) {
-	sch, meta, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]*table.Column, len(refs))
-	err = g.forEach(len(refs), func(c int) error {
-		ref := refs[c]
-		// Each term is bounded before the subtraction so a hostile
-		// off/length pair cannot wrap int64 past the slice check.
-		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
-		}
-		ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
-		col, err := decodePage(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
-		if err != nil {
-			return fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
-		}
-		if int64(col.Len()) != meta.Rows {
-			return fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
-		}
-		cols[c] = col
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t, err := table.New(sch, cols)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	if err := checkSegmentMeta(meta, t); err != nil {
-		return nil, err
-	}
-	return &Segment{Table: t, Meta: meta, FileBytes: int64(len(b))}, nil
+	return t, meta, nil
 }
 
 // headerMetaLen reads the u32 meta length from a v2 header (the caller
@@ -587,74 +477,17 @@ func WriteSegmentFileDict(dir, name string, t *table.Table, dicts DictSet, grow 
 	}, nil
 }
 
-// readSegmentFile reads and fully verifies one segment file, resolving
-// shared-dict pages through dicts and decoding its pages on g.
-func readSegmentFile(path string, dicts DictSet, g *workGroup) (*Segment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read segment: %w", err)
-	}
-	seg, err := decodeSegment(data, dicts, g)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	return seg, nil
-}
-
-// readSegmentFileColumns reads only the named column positions of a
-// segment file (positions index the segment's full schema, ascending).
-// It is the materializing wrapper over readSegmentFileEncoded: every
-// selected page is decoded to a plain column. The returned Segment's
-// FileBytes reports exactly the bytes consumed, and its Table and
-// Meta.Zones cover only the selected columns, in the given order.
-func readSegmentFileColumns(path string, positions []int, dicts DictSet, g *workGroup) (*Segment, error) {
-	es, err := readSegmentFileEncoded(path, positions, dicts, g)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]*table.Column, len(es.Cols))
-	err = g.forEach(len(cols), func(i int) (err error) {
-		cols[i], err = es.Cols[i].Materialize()
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	t, err := table.New(es.Schema, cols)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	return &Segment{Table: t, Meta: es.Meta, FileBytes: es.FileBytes}, nil
-}
-
-// readSegmentFileEncoded reads only the named column positions of a
-// segment file, leaving each page in its encoded form (see
-// EncodedColumn) — the entry point of encoded execution, where
+// readSegmentEncoded is the one segment reader, over any io.ReaderAt
+// holding a segment: it reads the given column positions (nil = every
+// column), leaving each page in its encoded form (see EncodedColumn) so
 // predicates run over runs, dictionary codes and undecoded fixed-width
-// payloads before any row is materialized. For a v2/v3 segment this
-// fetches the header, the meta block and the selected pages; framing,
-// CRCs, payload lengths and code bounds are verified exactly as a
-// decoding read would. A v1 segment has no page directory and no
-// compressed pages, so it is read whole and its projected columns
-// wrapped as plain views.
-func readSegmentFileEncoded(path string, positions []int, dicts DictSet, g *workGroup) (*EncodedSegment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read segment: %w", err)
-	}
-	defer f.Close()
-	es, err := readSegmentEncoded(f, positions, dicts, g)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	return es, nil
-}
-
-// readSegmentEncoded is the projected read over any io.ReaderAt holding
-// a segment: header and meta block first, then the selected pages —
-// pages that sit next to each other in the file (the encoder lays them
-// out contiguously in column order) arrive in one read and are sliced
-// apart — fetched, CRC-checked and parsed on g.
+// payloads before any row is materialized. A v2/v3 segment yields its
+// header and meta block first, then the selected pages — pages that sit
+// next to each other in the file (the encoder lays them out contiguously
+// in column order) arrive in one read and are sliced apart — fetched,
+// CRC-checked and parsed on g. A v1 segment has no page directory and no
+// compressed pages, so it is read whole and its selected columns wrapped
+// as plain views. FileBytes reports exactly the bytes consumed.
 func readSegmentEncoded(r io.ReaderAt, positions []int, dicts DictSet, g *workGroup) (*EncodedSegment, error) {
 	header, err := readRange(r, 0, segHeaderLen)
 	if err != nil {
@@ -665,29 +498,20 @@ func readSegmentEncoded(r io.ReaderAt, positions []int, dicts DictSet, g *workGr
 		return nil, err
 	}
 	if ver == segVersionV1 {
-		// No page directory: fall back to a full read + in-memory project.
 		data, err := io.ReadAll(io.NewSectionReader(r, 0, math.MaxInt64))
 		if err != nil {
 			return nil, err
 		}
-		seg, err := decodeSegmentV1(data)
+		t, meta, err := decodeSegmentV1(data)
 		if err != nil {
 			return nil, err
 		}
-		proj, err := projectSegment(seg, positions)
-		if err != nil {
-			return nil, err
+		es := wrapTable(t, meta)
+		es.FileBytes = int64(len(data))
+		if positions == nil {
+			return es, nil
 		}
-		ecols := make([]*EncodedColumn, proj.Table.NumCols())
-		for i := range ecols {
-			ecols[i] = encodedFromColumn(proj.Table.Col(i))
-		}
-		return &EncodedSegment{
-			Schema:    proj.Table.Schema(),
-			Cols:      ecols,
-			Meta:      proj.Meta,
-			FileBytes: proj.FileBytes,
-		}, nil
+		return es.project(positions)
 	}
 	if ver != segVersion && ver != segVersionV3 {
 		return nil, fmt.Errorf("unsupported segment version %d", ver)
@@ -704,6 +528,12 @@ func readSegmentEncoded(r io.ReaderAt, positions []int, dicts DictSet, g *workGr
 	sch, meta, refs, err := decodeSegmentMetaV2(metaBuf, metaLen)
 	if err != nil {
 		return nil, err
+	}
+	if positions == nil {
+		positions = make([]int, len(refs))
+		for i := range positions {
+			positions[i] = i
+		}
 	}
 
 	bytesRead := int64(segHeaderLen + len(metaBuf))
@@ -796,25 +626,6 @@ func readRange(r io.ReaderAt, off int64, n int) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// projectSegment narrows a fully-decoded segment to the given column
-// positions (the v1 fallback path of readSegmentFileEncoded).
-func projectSegment(seg *Segment, positions []int) (*Segment, error) {
-	for _, c := range positions {
-		if c < 0 || c >= seg.Table.NumCols() {
-			return nil, fmt.Errorf("storage: projected column %d out of %d", c, seg.Table.NumCols())
-		}
-	}
-	zones := make([]ZoneMap, len(positions))
-	for i, c := range positions {
-		zones[i] = seg.Meta.Zones[c]
-	}
-	return &Segment{
-		Table:     seg.Table.Project(positions),
-		Meta:      SegmentMeta{SchemaHash: seg.Meta.SchemaHash, Rows: seg.Meta.Rows, Zones: zones},
-		FileBytes: seg.FileBytes,
-	}, nil
 }
 
 // atomicWriteFile writes data to path via a temp file in the same

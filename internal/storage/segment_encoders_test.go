@@ -1,11 +1,36 @@
 package storage
 
 import (
+	"bytes"
 	"hash/crc32"
 
 	"nexus/internal/table"
+	"nexus/internal/value"
 	"nexus/internal/wire"
 )
+
+// readTable reads the given column positions (nil = every column) of a
+// segment encoding through the one segment reader, resolving shared-dict
+// pages through dicts, and materializes them: the decode the format
+// tests compare against.
+func readTable(b []byte, positions []int, dicts DictSet) (*table.Table, *EncodedSegment, error) {
+	g := newWorkGroup()
+	es, err := readSegmentEncoded(bytes.NewReader(b), positions, dicts, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := es.materialize(g, nil)
+	return t, es, err
+}
+
+// pageColumn parses one column page and materializes every row.
+func pageColumn(b []byte, kind value.Kind, ctx pageCtx) (*table.Column, error) {
+	ec, err := parsePageEncoded(b, kind, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ec.Materialize()
+}
 
 // encodeSegment serializes a table as one segment without shared
 // dictionaries (a v2 file; see EncodeSegmentDict for the layout).

@@ -40,12 +40,12 @@ func segmentEncodings(t *testing.T, st *Store, dataset string) map[uint8]int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encs, err := SegmentPageEncodings(raw)
+		_, es, err := readTable(raw, nil, st.SharedDicts(dataset))
 		if err != nil {
 			t.Fatalf("%s: %v", ref.File, err)
 		}
-		for _, e := range encs {
-			counts[e]++
+		for _, ec := range es.Cols {
+			counts[ec.Encoding()]++
 		}
 	}
 	return counts
@@ -246,7 +246,7 @@ func TestCompactionRebuildBumpsDictEpoch(t *testing.T) {
 	}
 
 	// Old-epoch segment vs new dictionaries: refused as stale.
-	if _, err := DecodeSegmentDicts(oldRaw, st.SharedDicts("d")); !isStaleDict(err) {
+	if _, _, err := readTable(oldRaw, nil, st.SharedDicts("d")); !isStaleDict(err) {
 		t.Fatalf("old-epoch segment decoded as %v, want stale-dict refusal", err)
 	}
 

@@ -32,17 +32,17 @@ func rowsTable(lo, hi int64) *table.Table {
 func TestSegmentRoundtrip(t *testing.T) {
 	in := rowsTable(0, 100)
 	data := encodeSegment(in)
-	seg, err := DecodeSegment(data)
+	got, es, err := readTable(data, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !table.EqualRows(in, seg.Table) {
+	if !table.EqualRows(in, got) {
 		t.Fatal("segment rows differ after roundtrip")
 	}
-	if seg.Meta.Rows != 100 {
-		t.Fatalf("meta rows = %d", seg.Meta.Rows)
+	if es.Meta.Rows != 100 {
+		t.Fatalf("meta rows = %d", es.Meta.Rows)
 	}
-	z := seg.Meta.Zones[0]
+	z := es.Meta.Zones[0]
 	if z.Min.Int() != 0 || z.Max.Int() != 99 || z.Nulls != 0 {
 		t.Fatalf("zone map = %+v", z)
 	}
@@ -50,13 +50,13 @@ func TestSegmentRoundtrip(t *testing.T) {
 	for _, off := range []int{len(segMagic) + 6, len(data) / 2, len(data) - 3} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
-		if _, err := DecodeSegment(bad); err == nil {
+		if _, _, err := readTable(bad, nil, nil); err == nil {
 			t.Fatalf("corrupt byte at %d decoded successfully", off)
 		}
 	}
 	// Truncations must fail too.
 	for _, n := range []int{0, 4, len(data) - 1} {
-		if _, err := DecodeSegment(data[:n]); err == nil {
+		if _, _, err := readTable(data[:n], nil, nil); err == nil {
 			t.Fatalf("truncated to %d decoded successfully", n)
 		}
 	}

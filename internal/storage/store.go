@@ -36,8 +36,7 @@ type Store struct {
 	man     *Manifest
 	wal     *WAL
 	tails   map[string]*tail           // unflushed rows per dataset
-	segs    map[string]*table.Table    // decoded segment cache: file (full) or file+cols (projected)
-	encs    map[string]*EncodedSegment // encoded-view cache: file+cols, pages parsed but not materialized
+	encs    map[string]*EncodedSegment // segment cache, keyed by cacheKey: pages parsed but not materialized
 	nextSeg uint64                     // next segment file number (flushes and compactions share it)
 	closed  bool
 	replica bool // replica mode: local mutations refused, manifests applied from a primary
@@ -107,7 +106,6 @@ func Open(dir string) (*Store, error) {
 		dir:     dir,
 		man:     man,
 		tails:   map[string]*tail{},
-		segs:    map[string]*table.Table{},
 		encs:    map[string]*EncodedSegment{},
 		nextSeg: man.NextSeg,
 	}
@@ -459,124 +457,103 @@ func (s *Store) dictsLocked(name string) DictSet {
 }
 
 // ReadSegment materializes one segment by manifest reference, serving
-// repeat reads from an in-memory cache (the warm path). The cache is
+// repeat reads from the segment cache (the warm path). The cache is
 // sound because segments are immutable. The dataset name resolves the
 // shared dictionaries v3 pages decode through.
 func (s *Store) ReadSegment(dataset string, ref SegmentRef) (*table.Table, error) {
-	return s.readSegment(newWorkGroup(), dataset, ref)
+	return s.ReadSegmentColumns(dataset, ref, nil)
 }
 
 // ReadSegmentColumns materializes only the given column positions of a
-// segment (the projected cold-scan path): a v2 segment file yields just
-// its header, meta block and the selected pages; a v1 file is read
-// whole and projected. Projections are cached separately from full
-// reads — both are immutable — and a cached full table short-circuits
-// to an in-memory projection.
+// segment (nil = every column): a v2 segment file yields just its
+// header, meta block and the selected pages; a v1 file is read whole
+// and projected.
 func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
-	return s.readSegmentColumns(newWorkGroup(), dataset, ref, positions)
+	g := newWorkGroup()
+	es, err := s.read(g, dataset, ref, positions)
+	if err != nil {
+		return nil, err
+	}
+	return es.materialize(g, nil)
 }
 
 // ReadSegmentEncoded reads only the given column positions of a segment
-// in encoded form — pages parsed and verified but not materialized, so
-// predicates can run over runs, dictionary codes and undecoded payloads
-// first. Encoded views are immutable (dictionary growth is append-only
-// within an epoch, and a rebuild deletes the referencing files) and
-// cached like decoded ones.
+// (nil = every column) in encoded form — pages parsed and verified but
+// not materialized, so predicates can run over runs, dictionary codes
+// and undecoded payloads first.
 func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
-	return s.readSegmentEncoded(newWorkGroup(), dataset, ref, positions)
+	return s.read(newWorkGroup(), dataset, ref, positions)
 }
 
-// The three reads above, with the page work of a miss done on g — the
-// forms the engine's per-segment pipeline calls, so segments and pages
-// share one budget.
-
-func (s *Store) readSegment(g *workGroup, dataset string, ref SegmentRef) (*table.Table, error) {
-	s.mu.RLock()
-	t, ok := s.segs[ref.File]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok {
-		metSegCacheHit.Inc()
-		return t, nil
-	}
-	metSegCacheMiss.Inc()
-	seg, err := readSegmentFile(filepath.Join(s.dir, ref.File), dicts, g)
-	if err != nil {
-		return nil, err
-	}
-	metBytesReadFull.Add(seg.FileBytes)
-	s.cacheInsert(ref.File, seg.Table, gen, seg.FileBytes)
-	return seg.Table, nil
-}
-
-func (s *Store) readSegmentColumns(g *workGroup, dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
-	key := ref.File + "?" + colsKey(positions)
-	s.mu.RLock()
-	t, ok := s.segs[key]
-	full, fullOK := s.segs[ref.File]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok || fullOK {
-		metSegCacheHit.Inc()
-		if ok {
-			return t, nil
-		}
-		return full.Project(positions), nil
-	}
-	metSegCacheMiss.Inc()
-	seg, err := readSegmentFileColumns(filepath.Join(s.dir, ref.File), positions, dicts, g)
-	if err != nil {
-		return nil, err
-	}
-	metBytesReadProjected.Add(seg.FileBytes)
-	s.cacheInsert(key, seg.Table, gen, seg.FileBytes)
-	return seg.Table, nil
-}
-
-func (s *Store) readSegmentEncoded(g *workGroup, dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
-	key := ref.File + "?" + colsKey(positions)
-	s.mu.RLock()
-	es, ok := s.encs[key]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok {
+// read is every segment read: the given column positions of one segment
+// (nil = every column), from the cache when it holds them — under their
+// own key, or picked out of the segment's all-column entry — and
+// otherwise from the file, with the page work done on g and the result
+// cached. Encoded views are immutable (dictionary growth is append-only
+// within an epoch, and a rebuild deletes the referencing files), so
+// entries never go stale; they leave only when their file does.
+func (s *Store) read(g *workGroup, dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
+	es, gen, dicts := s.lookup(dataset, ref, positions)
+	if es != nil {
 		metSegCacheHit.Inc()
 		return es, nil
 	}
 	metSegCacheMiss.Inc()
-	es, err := readSegmentFileEncoded(filepath.Join(s.dir, ref.File), positions, dicts, g)
+	es, err := s.readFile(g, ref, positions, dicts)
 	if err != nil {
 		return nil, err
 	}
-	metBytesReadEncoded.Add(es.FileBytes)
-	s.bytesRead.Add(es.FileBytes)
+	// Insert unless a purge ran since the lookup — inserting then would
+	// resurrect an entry for a deleted file that nothing ever evicts.
 	s.mu.Lock()
 	if s.cacheGen == gen {
-		s.encs[key] = es
+		s.encs[cacheKey(ref.File, positions)] = es
 	}
 	s.mu.Unlock()
 	return es, nil
 }
 
-// cacheInsert adds a decoded segment under key unless a compaction
-// purge ran since the caller snapshotted gen — inserting then would
-// resurrect an entry for a deleted file that nothing ever evicts.
-// Bytes read are counted either way; the disk read happened.
-func (s *Store) cacheInsert(key string, t *table.Table, gen uint64, bytes int64) {
-	s.bytesRead.Add(bytes)
-	s.mu.Lock()
-	if s.cacheGen == gen {
-		s.segs[key] = t
+// lookup finds a read in the segment cache (nil on a miss) and returns
+// the cache generation and dataset dictionaries a miss reads under.
+func (s *Store) lookup(dataset string, ref SegmentRef, positions []int) (*EncodedSegment, uint64, DictSet) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	es := s.encs[cacheKey(ref.File, positions)]
+	if es == nil && positions != nil {
+		if full := s.encs[cacheKey(ref.File, nil)]; full != nil {
+			es, _ = full.project(positions) // out of range: a miss, and the reader reports it
+		}
 	}
-	s.mu.Unlock()
+	return es, s.cacheGen, s.dictsLocked(dataset)
 }
 
-// colsKey renders column positions as a cache-key suffix.
-func colsKey(positions []int) string {
-	var b []byte
+// readFile reads one segment file from disk and counts the bytes.
+func (s *Store) readFile(g *workGroup, ref SegmentRef, positions []int, dicts DictSet) (*EncodedSegment, error) {
+	f, err := os.Open(filepath.Join(s.dir, ref.File))
+	if err != nil {
+		return nil, fmt.Errorf("storage: read segment: %w", err)
+	}
+	defer f.Close()
+	es, err := readSegmentEncoded(f, positions, dicts, g)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", ref.File, err)
+	}
+	mode := metBytesReadProjected
+	if positions == nil {
+		mode = metBytesReadFull
+	}
+	mode.Add(es.FileBytes)
+	s.bytesRead.Add(es.FileBytes)
+	return es, nil
+}
+
+// cacheKey names a read in the segment cache: the file, then the column
+// positions, or "*" for every column.
+func cacheKey(file string, positions []int) string {
+	if positions == nil {
+		return file + "?*"
+	}
+	b := append([]byte(file), '?')
 	for i, c := range positions {
 		if i > 0 {
 			b = append(b, ',')
@@ -591,12 +568,11 @@ func colsKey(positions []int) string {
 // full and projected cold scans.
 func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
 
-// DropSegmentCache empties the decoded-segment cache (benchmarks use
-// this to measure genuinely cold scans). Reads already in flight will
-// not repopulate it — the generation bump makes their inserts no-ops.
+// DropSegmentCache empties the segment cache (benchmarks use this to
+// measure genuinely cold scans). Reads already in flight will not
+// repopulate it — the generation bump makes their inserts no-ops.
 func (s *Store) DropSegmentCache() {
 	s.mu.Lock()
-	s.segs = map[string]*table.Table{}
 	s.encs = map[string]*EncodedSegment{}
 	s.cacheGen++
 	s.mu.Unlock()
@@ -646,15 +622,18 @@ func (s *Store) Dataset(name string) (*table.Table, bool, error) {
 }
 
 // dataset is Dataset also reporting how many segments it read. The
-// segments decode side by side on one work group and are concatenated
-// in manifest order.
+// segments are read and materialized side by side on one work group and
+// concatenated in manifest order.
 func (s *Store) dataset(name string) (out *table.Table, segments int, err error) {
 	err = s.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
 		sch, _ := s.Schema(name)
 		tables := make([]*table.Table, len(refs), len(refs)+len(parts))
 		g := newWorkGroup()
-		err := g.forEach(len(refs), func(i int) (err error) {
-			tables[i], err = s.readSegment(g, name, refs[i])
+		err := g.forEach(len(refs), func(i int) error {
+			es, err := s.read(g, name, refs[i], nil)
+			if err == nil {
+				tables[i], err = es.materialize(g, nil)
+			}
 			return err
 		})
 		if err != nil {
@@ -716,7 +695,7 @@ func (s *Store) Flush() error {
 	for name := range s.tails {
 		names[name] = true
 	}
-	newSegCache := map[string]*table.Table{}
+	newSegCache := map[string]*EncodedSegment{}
 	var ordered []string
 	for _, dm := range s.man.Datasets {
 		ordered = append(ordered, dm.Name)
@@ -785,7 +764,7 @@ func (s *Store) Flush() error {
 					return err
 				}
 				dm.Segments = append(dm.Segments, SegmentRef{File: file, Meta: meta})
-				newSegCache[file] = t
+				newSegCache[cacheKey(file, nil)] = wrapTable(t, meta)
 			}
 		}
 		dm.setDicts(dicts)
@@ -809,8 +788,8 @@ func (s *Store) Flush() error {
 	s.wal = newWal
 	s.man = next
 	s.tails = map[string]*tail{}
-	for f, t := range newSegCache {
-		s.segs[f] = t
+	for key, es := range newSegCache {
+		s.encs[key] = es
 	}
 	oldWal.Close()
 	os.Remove(filepath.Join(s.dir, walName(next.WalGen-1)))
@@ -837,14 +816,8 @@ func (s *Store) Flush() error {
 		}
 	}
 	if purged {
-		// Drop dead decoded tables and stop in-flight reads from
+		// Drop dead cache entries and stop in-flight reads from
 		// re-inserting them.
-		for key := range s.segs {
-			file, _, _ := strings.Cut(key, "?")
-			if !liveFiles[file] {
-				delete(s.segs, key)
-			}
-		}
 		for key := range s.encs {
 			file, _, _ := strings.Cut(key, "?")
 			if !liveFiles[file] {

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -27,9 +29,12 @@ func newWorkGroup() *workGroup {
 
 // forEach calls fn(0) … fn(n-1), each exactly once unless a call fails:
 // after the first error no further index is started, and that error is
-// returned. Every goroutine forEach started has exited when it returns,
-// so a caller that retries (Store.readSnapshot) re-runs over nothing
-// left behind. fn must be safe to call concurrently for distinct i.
+// returned. A call that panics fails with an error carrying the panic
+// value and stack, so one bad read cannot take down the process from a
+// worker goroutine. Every goroutine forEach started has exited when it
+// returns, so a caller that retries (Store.readSnapshot) re-runs over
+// nothing left behind. fn must be safe to call concurrently for
+// distinct i.
 func (g *workGroup) forEach(n int, fn func(i int) error) error {
 	var (
 		next   atomic.Int64
@@ -37,17 +42,24 @@ func (g *workGroup) forEach(n int, fn func(i int) error) error {
 		first  error
 		wg     sync.WaitGroup
 	)
+	fail := func(err error) {
+		if failed.CompareAndSwap(false, true) {
+			first = err
+		}
+	}
 	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				fail(fmt.Errorf("storage: read worker panicked: %v\n%s", p, debug.Stack()))
+			}
+		}()
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
 			if err := fn(i); err != nil {
-				if failed.CompareAndSwap(false, true) {
-					first = err
-				}
-				return
+				fail(err) // the loop test now stops this worker
 			}
 		}
 	}
@@ -58,8 +70,7 @@ func (g *workGroup) forEach(n int, fn func(i int) error) error {
 			case g.slots <- struct{}{}:
 				wg.Add(1)
 				go func() {
-					defer wg.Done()
-					defer func() { <-g.slots }()
+					defer func() { <-g.slots; wg.Done() }()
 					work()
 				}()
 			default:
