@@ -1,6 +1,8 @@
 // nexus-server hosts one provider engine behind the nexus wire protocol.
-// Clients connect with Session.ConnectTCP (or cmd/nexus-shell -connect);
-// peer servers push intermediates to it directly in federated plans.
+// Clients connect with Session.Connect or Session.ConnectTCP (or
+// cmd/nexus-shell -connect), each over one multiplexed connection that
+// carries its queries and stream subscriptions alike; peer servers push
+// intermediates to it directly in federated plans.
 //
 // With -data-dir the server is durable: datasets live in a columnar
 // segment store guarded by a write-ahead log, hosted stream

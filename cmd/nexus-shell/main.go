@@ -58,7 +58,6 @@ func main() {
 	demo := flag.Bool("demo", false, "create local engines and load demo data")
 	connect := flag.String("connect", "", "comma-separated server addresses to attach")
 	metrics := flag.String("metrics", "", "default metrics sidecar address for \\stats (host:port)")
-	mux := flag.Bool("mux", false, "multiplex all traffic to each server (queries + subscriptions) over one TCP connection")
 	tenant := flag.String("tenant", "", "tenant token sent at connect for server-side admission control")
 	traceFlag := flag.Bool("trace", false, "trace connects and queries end-to-end from the start (same as \\trace on, plus traced dial handshakes)")
 	flag.Parse()
@@ -66,16 +65,12 @@ func main() {
 	s := nexus.NewSession()
 	if *connect != "" {
 		for _, addr := range strings.Split(*connect, ",") {
-			name, err := s.Connect(strings.TrimSpace(addr), nexus.ConnectOptions{Mux: *mux, Tenant: *tenant, Trace: *traceFlag})
+			name, err := s.Connect(strings.TrimSpace(addr), nexus.ConnectOptions{Tenant: *tenant, Trace: *traceFlag})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "connect %s: %v\n", addr, err)
 				os.Exit(1)
 			}
-			mode := ""
-			if *mux {
-				mode = ", multiplexed"
-			}
-			fmt.Printf("connected to %s (%s%s)\n", addr, name, mode)
+			fmt.Printf("connected to %s (%s)\n", addr, name)
 		}
 	}
 	if *connect == "" || *demo {

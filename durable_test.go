@@ -315,8 +315,8 @@ func TestDurableCheckpointRetiredOnCompletion(t *testing.T) {
 }
 
 // TestDurablePushResumeAfterDisconnect covers the server-side skip for
-// push-mode durable subscriptions: the client's connection drops
-// mid-stream, the server checkpoints the pipeline state (including the
+// push-mode durable subscriptions: the client abandons the stream
+// mid-flight, the server checkpoints the pipeline state (including the
 // consumed-row offset the publisher never sees), and a re-subscription
 // under the same durable name replays the source from the start while
 // the server drops the consumed prefix — no window is lost and none is
@@ -363,9 +363,9 @@ func TestDurablePushResumeAfterDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 1: slow consumer, then drop the connection mid-stream (ctx
-	// cancel closes it abruptly — the server sees the subscriber gone
-	// and persists the checkpoint).
+	// Phase 1: slow consumer, then abandon the stream mid-flight (ctx
+	// cancel closes the subscription, which the server treats like a
+	// dropped connection and persists the checkpoint).
 	var mu sync.Mutex
 	var recovered []*nexus.Table
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -390,7 +390,7 @@ func TestDurablePushResumeAfterDisconnect(t *testing.T) {
 	}
 	<-got2
 	cancel1()
-	_, _ = rs.Wait() // errors: the connection was severed
+	_, _ = rs.Wait() // errors: the subscription was closed
 
 	// The server persists the checkpoint when its pipeline notices the
 	// gone subscriber; poll for it.

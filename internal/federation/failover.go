@@ -32,18 +32,14 @@ type FailoverOpts struct {
 	// (across all addresses) before the stream fails. 0 means
 	// 4×len(addrs); negative means unlimited (bounded by ctx).
 	MaxAttempts int
-	// Mux subscribes over a multiplexed connection (DialMux) instead of
-	// a dedicated one. Each failover attempt dials a fresh mux owned by
-	// this failover subscription; it is closed when the inner
-	// subscription ends.
-	Mux bool
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
 
 // FailoverSub is a subscription that survives server loss: it holds one
-// live Subscription to some address in its set and, when the connection
-// dies mid-stream, redials a surviving address with
+// live Subscription to some address in its set — on a mux dialed for it
+// alone, which the subscription closes when it ends — and, when the
+// connection dies mid-stream, redials a surviving address with
 // exponential-backoff-with-jitter and re-subscribes under the same
 // durable key — the server restores the stream from its replicated
 // checkpoint, epoch-checked. Delivery across a failover is
@@ -66,7 +62,6 @@ type FailoverSub struct {
 	mu      sync.Mutex
 	cur     *Subscription
 	curAddr string
-	curMux  *Mux // owns the current subscription's mux connection (Mux mode)
 	err     error
 }
 
@@ -106,14 +101,14 @@ func SubscribeFailover(ctx context.Context, addrs []string, sub wire.StreamSub, 
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
 	}
-	inner, mx, idx, err := f.connect(ctx, 0)
+	inner, idx, err := f.connect(ctx, 0)
 	if err != nil {
 		return nil, err
 	}
 	// Any caller-supplied resume token is spent on the first subscribe;
 	// re-subscribes resume from the server-side durable checkpoint.
 	f.sub.Resume = nil
-	f.setCur(inner, f.addrs[idx], mx)
+	f.setCur(inner, f.addrs[idx])
 	go f.run(ctx, idx)
 	return f, nil
 }
@@ -156,22 +151,10 @@ func (f *FailoverSub) current() *Subscription {
 	return f.cur
 }
 
-func (f *FailoverSub) setCur(s *Subscription, addr string, mx *Mux) {
+func (f *FailoverSub) setCur(s *Subscription, addr string) {
 	f.mu.Lock()
-	f.cur, f.curAddr, f.curMux = s, addr, mx
+	f.cur, f.curAddr = s, addr
 	f.mu.Unlock()
-}
-
-// closeCurMux closes the mux owning the current subscription's
-// connection, if any (Mux mode dials one mux per attempt).
-func (f *FailoverSub) closeCurMux() {
-	f.mu.Lock()
-	mx := f.curMux
-	f.curMux = nil
-	f.mu.Unlock()
-	if mx != nil {
-		mx.Close()
-	}
 }
 
 func (f *FailoverSub) setErr(err error) {
@@ -187,7 +170,6 @@ func (f *FailoverSub) setErr(err error) {
 func (f *FailoverSub) run(ctx context.Context, idx int) {
 	defer close(f.done)
 	defer close(f.out)
-	defer f.closeCurMux()
 	for {
 		inner := f.current()
 		healthyStart := time.Now()
@@ -216,8 +198,7 @@ func (f *FailoverSub) run(ctx context.Context, idx int) {
 		// schedule — an isolated blip should not pay a grown delay.
 		f.opts.Backoff.Observe(time.Since(healthyStart))
 		f.opts.Logf("federation: subscription to %s lost (%v); failing over", f.Addr(), err)
-		f.closeCurMux()
-		next, mx, nidx, cerr := f.connect(ctx, idx+1)
+		next, nidx, cerr := f.connect(ctx, idx+1)
 		if cerr != nil {
 			f.setErr(fmt.Errorf("federation: failover exhausted: %w (stream lost: %v)", cerr, err))
 			return
@@ -225,53 +206,28 @@ func (f *FailoverSub) run(ctx context.Context, idx int) {
 		idx = nidx
 		f.failovers.Add(1)
 		metFailovers.Inc()
-		f.setCur(next, f.addrs[nidx], mx)
+		f.setCur(next, f.addrs[nidx])
 		f.opts.Logf("federation: resumed %q on %s", f.sub.Durable, f.addrs[nidx])
 	}
 }
 
 // connect tries addresses round-robin from start until a subscribe
-// succeeds, backing off between failed attempts. In Mux mode the
-// subscription rides a fresh multiplexed connection (returned so the
-// failover loop can close it when the subscription dies).
-func (f *FailoverSub) connect(ctx context.Context, start int) (*Subscription, *Mux, int, error) {
+// succeeds, backing off between failed attempts. Each attempt dials a
+// fresh mux that the subscription owns.
+func (f *FailoverSub) connect(ctx context.Context, start int) (*Subscription, int, error) {
 	attempts := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		i := ((start % len(f.addrs)) + len(f.addrs)) % len(f.addrs)
 		addr := f.addrs[i]
 		metRedials.Inc()
 		attemptStart := time.Now()
-		var (
-			sub *Subscription
-			mux *Mux
-			err error
-		)
-		if f.opts.Mux {
-			mx, merr := DialMuxContext(ctx, addr, f.dialOpts)
-			if merr == nil {
-				s, serr := mx.Subscribe(f.sub)
-				if serr == nil {
-					sub, mux = s, mx
-				} else {
-					mx.Close()
-					merr = serr
-				}
-			}
-			err = merr
-		} else {
-			conn, derr := dialConn(ctx, addr, f.dialOpts)
-			if derr == nil {
-				s, serr := subscribeConnTimeout(conn, f.sub, f.dialOpts.HandshakeTimeout)
-				if serr == nil {
-					sub = s
-				} else {
-					derr = serr
-				}
-			}
-			err = derr
+		var sub *Subscription
+		mx, err := DialMuxContext(ctx, addr, f.dialOpts)
+		if err == nil {
+			sub, err = mx.subscribeOwned(f.sub)
 		}
 		// Each dial+subscribe attempt — first connects and failover
 		// redials alike — records a span under the subscription's trace,
@@ -285,16 +241,16 @@ func (f *FailoverSub) connect(ctx context.Context, start int) (*Subscription, *M
 				}, err)
 		}
 		if err == nil {
-			return sub, mux, i, nil
+			return sub, i, nil
 		}
 		attempts++
 		f.opts.Logf("federation: failover attempt %d at %s: %v", attempts, addr, err)
 		if f.opts.MaxAttempts > 0 && attempts >= f.opts.MaxAttempts {
-			return nil, nil, 0, fmt.Errorf("federation: %d connect attempts failed, last: %w", attempts, err)
+			return nil, 0, fmt.Errorf("federation: %d connect attempts failed, last: %w", attempts, err)
 		}
 		start++
 		if werr := f.opts.Backoff.Wait(ctx); werr != nil {
-			return nil, nil, 0, werr
+			return nil, 0, werr
 		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package federation executes partitioned plans across multiple
 // providers — the paper's "multi-server applications" goal. A
 // Coordinator drives the fragment DAG over an abstract Transport (an
-// in-process binding for tests and benchmarks, and a TCP binding for
-// real servers) in one of two shipping modes:
+// in-process binding for tests and benchmarks, and a Mux for real
+// servers — the one client transport, which multiplexes queries and
+// stream subscriptions over one connection) in one of two shipping
+// modes:
 //
 //   - ModeDirect: a producing server pushes its fragment's result
 //     straight to the consuming server (desideratum D4); the client sees

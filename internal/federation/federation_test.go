@@ -144,12 +144,12 @@ func TestFederatedJoinOverTCP(t *testing.T) {
 	sa.Logf = t.Logf
 	sb.Logf = t.Logf
 
-	ta, err := DialTCP(sa.Addr())
+	ta, err := DialMux(sa.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ta.Close()
-	tb, err := DialTCP(sb.Addr())
+	tb, err := DialMux(sb.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTCPServerRejectsBadPlan(t *testing.T) {
 	}
 	defer s.Close()
 	s.Logf = t.Logf
-	tr, err := DialTCP(s.Addr())
+	tr, err := DialMux(s.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTCPStoreAndDrop(t *testing.T) {
 	}
 	defer s.Close()
 	s.Logf = t.Logf
-	tr, err := DialTCP(s.Addr())
+	tr, err := DialMux(s.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,12 @@ import (
 	"nexus/internal/wire"
 )
 
-// Mux is the multiplexed front-door transport: N concurrent
-// subscriptions and request/response calls share ONE TCP connection,
-// demultiplexed by the per-sub wire IDs the protocol already carries.
-// This is what "millions of users" needs — thousands of subscriptions
-// per server must not mean thousands of sockets.
+// Mux is the client transport: N concurrent subscriptions and
+// request/response calls share ONE connection, demultiplexed by the
+// per-sub wire IDs the protocol already carries. This is what "millions
+// of users" needs — thousands of subscriptions per server must not mean
+// thousands of sockets. The connection is usually a dialed TCP socket
+// (DialMux); InProc runs the same mux over an in-memory pipe.
 //
 // Demultiplexing rules:
 //
@@ -83,7 +84,7 @@ var (
 	metMuxConns = obs.Default.Gauge("nexus_mux_connections",
 		"Multiplexed client connections currently open.")
 	metMuxSubs = obs.Default.Gauge("nexus_mux_subscriptions",
-		"Subscriptions currently multiplexed over shared connections.")
+		"Client subscriptions currently open over multiplexed connections.")
 	metMuxCalls = obs.Default.Counter("nexus_mux_calls_total",
 		"Request/response calls sent over multiplexed connections.")
 	metMuxDroppedWM = obs.Default.Counter("nexus_mux_dropped_watermarks_total",
@@ -106,17 +107,20 @@ type muxReply struct {
 	err     error
 }
 
-// DialMux connects a multiplexed transport to a server: one hello
-// exchange (carrying opts.Tenant), then any number of concurrent
-// subscriptions and calls over the single connection.
+// DialMux connects to a server: one hello exchange (carrying
+// opts.Tenant) learns the provider's name, capabilities and datasets,
+// then any number of concurrent subscriptions and calls share the
+// connection.
 func DialMux(addr string, opts DialOpts) (*Mux, error) {
 	return DialMuxContext(context.Background(), addr, opts)
 }
 
-// DialMuxContext is DialMux with a caller-supplied context. The connect
-// and hello exchange run under the DialOpts budgets, surfacing
-// *TimeoutError like DialTCPContext; a mid-handshake failure closes the
-// connection before returning.
+// DialMuxContext is DialMux with a caller-supplied context: the connect
+// respects both ctx and opts.ConnectTimeout, and the hello exchange runs
+// under opts.HandshakeTimeout, so a peer that accepts the connection but
+// never answers cannot hang the caller. A budget that runs out surfaces
+// as a *TimeoutError (matches ErrTimeout); a mid-handshake failure
+// closes the connection before returning.
 func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, err error) {
 	opts = opts.withDefaults()
 	sp, htc := clientSpan(opts.Trace, "client.dial_mux", trace.String("addr", addr))
@@ -125,6 +129,15 @@ func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, e
 	if err != nil {
 		return nil, err
 	}
+	opts.Trace = htc // the server's handshake span parents under the dial span
+	return newMux(conn, addr, opts)
+}
+
+// newMux runs the hello exchange on an established connection — a
+// dialed socket or an in-process pipe — under opts.HandshakeTimeout and
+// starts the demultiplexer. opts must carry its defaults. Every failure
+// exit closes conn.
+func newMux(conn net.Conn, addr string, opts DialOpts) (*Mux, error) {
 	ok := false
 	defer func() {
 		if !ok {
@@ -132,7 +145,7 @@ func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, e
 		}
 	}()
 	_ = conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, htc)); err != nil {
+	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, opts.Trace)); err != nil {
 		if isTimeout(err) {
 			return nil, &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
 		}
@@ -577,7 +590,23 @@ func (m *Mux) Append(name string, tab *table.Table, met *Metrics) (err error) {
 // credit-bound frames, plus a bounded slack for droppable watermarks,
 // so the demux loop can always route its frames without blocking —
 // one stalled consumer stalls only its own stream.
-func (m *Mux) Subscribe(sub wire.StreamSub) (_ *Subscription, err error) {
+func (m *Mux) Subscribe(sub wire.StreamSub) (*Subscription, error) {
+	return m.subscribe(sub, false)
+}
+
+// subscribeOwned opens the one subscription a mux dialed for it alone
+// carries (InProc, failover attempts): the subscription owns m and
+// closes it when its reader ends, and a failed subscribe closes m at
+// once.
+func (m *Mux) subscribeOwned(sub wire.StreamSub) (*Subscription, error) {
+	s, err := m.subscribe(sub, true)
+	if err != nil {
+		m.Close()
+	}
+	return s, err
+}
+
+func (m *Mux) subscribe(sub wire.StreamSub, ownsMux bool) (_ *Subscription, err error) {
 	sub.ID = m.allocID()
 	if sub.Credit == 0 {
 		sub.Credit = DefaultCredit
@@ -636,6 +665,7 @@ func (m *Mux) Subscribe(sub wire.StreamSub) (_ *Subscription, err error) {
 			}
 			s := &Subscription{
 				mx:        m,
+				ownsMux:   ownsMux,
 				inbox:     inbox,
 				id:        sub.ID,
 				outSch:    outSch,
@@ -670,3 +700,13 @@ func (m *Mux) Subscribe(sub wire.StreamSub) (_ *Subscription, err error) {
 		return nil, terr
 	}
 }
+
+// TCP is the Mux under its former name.
+//
+// Deprecated: every connection is a Mux; use Mux.
+type TCP = Mux
+
+// DialTCP is DialMux with the default options.
+//
+// Deprecated: use DialMux.
+func DialTCP(addr string) (*TCP, error) { return DialMux(addr, DialOpts{}) }

@@ -75,6 +75,26 @@ func sortStrings(s []string) {
 	}
 }
 
+// baselineRows drains one subscription on a second, otherwise idle mux:
+// the single-stream reference every multiplexed sibling must match.
+func baselineRows(t *testing.T, srv *server.Server, sub wire.StreamSub) []string {
+	t.Helper()
+	mx, err := DialMux(srv.Addr(), DialOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	s, err := mx.Subscribe(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := drainRows(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // drainRows consumes a subscription to its end and returns its sorted
 // canonical rows (goroutine-safe: no testing.T).
 func drainRows(s *Subscription) ([]string, error) {
@@ -99,7 +119,7 @@ func drainRows(s *Subscription) ([]string, error) {
 
 // TestMuxManySubsByteIdentical is the acceptance differential: many
 // subscriptions multiplexed over ONE TCP connection must each produce
-// windows byte-identical to a subscription running on its own dedicated
+// windows byte-identical to a subscription running alone on its own
 // connection (256 subscriptions; 64 under -short).
 func TestMuxManySubsByteIdentical(t *testing.T) {
 	n := 256
@@ -110,20 +130,7 @@ func TestMuxManySubsByteIdentical(t *testing.T) {
 	srv := muxServer(t, events)
 	pk := diffPipelines()[0] // tumbling aggregate
 
-	// Baseline: the existing one-connection-per-subscription transport.
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := baselineRows(t, srv, muxEventsSub(t, events, pk, 8))
 	if len(want) == 0 {
 		t.Fatal("baseline produced no rows; differential is vacuous")
 	}
@@ -158,7 +165,7 @@ func TestMuxManySubsByteIdentical(t *testing.T) {
 			t.Fatalf("mux subscription %d: %v", i, errs[i])
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("mux subscription %d differs from the dedicated-connection baseline (%d rows vs %d)", i, len(got[i]), len(want))
+			t.Fatalf("mux subscription %d differs from the single-stream baseline (%d rows vs %d)", i, len(got[i]), len(want))
 		}
 	}
 }
@@ -172,19 +179,7 @@ func TestMuxStalledSiblingIsolation(t *testing.T) {
 	srv := muxServer(t, events)
 	pk := diffPipelines()[0]
 
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := baselineRows(t, srv, muxEventsSub(t, events, pk, 8))
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
 	if err != nil {
@@ -252,19 +247,7 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 				[]string{"k"}, []core.AggSpec{{Func: core.AggCount, As: "n"}})
 	}}
 
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, burst, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := baselineRows(t, srv, muxEventsSub(t, events, burst, 8))
 	if len(want) == 0 {
 		t.Fatal("baseline produced no rows; regression is vacuous")
 	}
@@ -323,27 +306,15 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 
 // TestMuxInterleavedSoak mixes 64 concurrent subscriptions with
 // interleaved Execute and Append calls over ONE multiplexed connection
-// (run under -race in CI). Every subscription must match the dedicated
-// baseline and every call must return the right answer.
+// (run under -race in CI). Every subscription must match the
+// single-stream baseline and every call must return the right answer.
 func TestMuxInterleavedSoak(t *testing.T) {
 	const nSubs = 64
 	events := evTable(47, 800, 6)
 	srv := muxServer(t, events)
 	pk := diffPipelines()[2] // count windows: no lateness, quick
 
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := baselineRows(t, srv, muxEventsSub(t, events, pk, 8))
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
 	if err != nil {
@@ -469,24 +440,22 @@ func silentServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestTCPRequestTimeoutSilentServer is the regression for the client
-// hang: the old code cleared ALL deadlines after the handshake, so a
-// server that accepted a request and never answered hung Execute/call
-// forever. Now the exchange is bounded by RequestTimeout, fails with a
-// typed *TimeoutError, and poisons the connection.
-func TestTCPRequestTimeoutSilentServer(t *testing.T) {
+// TestMuxRequestTimeoutSilentServer is the regression for the client
+// hang: a server that accepted a request and never answered used to
+// hang the call forever. The exchange is bounded by RequestTimeout,
+// fails with a typed *TimeoutError, and poisons the whole mux — FIFO
+// correlation cannot skip a late reply, so later calls fail fast
+// instead of reusing the connection.
+func TestMuxRequestTimeoutSilentServer(t *testing.T) {
 	addr := silentServer(t)
-	tr, err := DialTCPContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
+	mx, err := DialMuxContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("handshake should succeed against the silent server: %v", err)
 	}
-	t.Cleanup(tr.Close)
+	t.Cleanup(mx.Close)
 
 	start := time.Now()
-	err = tr.Store("x", evTable(1, 4, 0), nil)
-	if err == nil {
-		t.Fatal("store against a silent server succeeded")
-	}
+	err = mx.Store("x", evTable(1, 4, 0), nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
@@ -497,61 +466,44 @@ func TestTCPRequestTimeoutSilentServer(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timed out only after %v — the deadline did not bound the exchange", elapsed)
 	}
+	if mx.Err() == nil {
+		t.Fatal("a timed-out call must poison the mux")
+	}
 
-	// The connection is poisoned: a late reply would desynchronize the
-	// framing, so later calls must fail fast instead of reusing it.
 	start = time.Now()
-	if err := tr.Store("y", evTable(1, 4, 0), nil); err == nil {
-		t.Fatal("second store on a poisoned connection succeeded")
+	if err := mx.Store("y", evTable(1, 4, 0), nil); err == nil {
+		t.Fatal("store on a poisoned mux succeeded")
 	}
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatal("second store waited on the network instead of failing fast")
 	}
 }
 
-// TestMuxRequestTimeoutSilentServer: the same hang bound on the
-// multiplexed transport. A timed-out call must poison the whole mux —
-// FIFO correlation cannot skip a late reply.
-func TestMuxRequestTimeoutSilentServer(t *testing.T) {
-	addr := silentServer(t)
-	mx, err := DialMuxContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("handshake should succeed against the silent server: %v", err)
-	}
-	t.Cleanup(mx.Close)
-
-	err = mx.Store("x", evTable(1, 4, 0), nil)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	if mx.Err() == nil {
-		t.Fatal("a timed-out call must poison the mux")
-	}
-	if err := mx.Store("y", evTable(1, 4, 0), nil); err == nil {
-		t.Fatal("store on a poisoned mux succeeded")
-	}
-}
-
-// TestSubscribeNoLeakOnBadSubAck: a server that answers the subscribe
-// handshake with garbage must leave no open client connection behind
-// (the mid-handshake error paths each close the dialed socket).
+// TestSubscribeNoLeakOnBadSubAck: a subscription on a mux dialed for it
+// alone owns that mux, so a server that answers the subscribe handshake
+// with garbage — or refuses it outright, which leaves a shared mux
+// healthy — must leave no open client connection behind.
 func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 	cases := []struct {
 		name  string
-		reply func(conn net.Conn) error
+		reply func(conn net.Conn, id uint64) error
 	}{
-		{"wrong-frame", func(conn net.Conn) error {
+		{"wrong-frame", func(conn net.Conn, _ uint64) error {
 			_, err := wire.WriteFrame(conn, wire.MsgResult, []byte{9, 9})
 			return err
 		}},
-		{"corrupt-ack", func(conn net.Conn) error {
+		{"corrupt-ack", func(conn net.Conn, _ uint64) error {
 			_, err := wire.WriteFrame(conn, wire.MsgSubAck, []byte{1})
 			return err
 		}},
-		{"wrong-id-ack", func(conn net.Conn) error {
+		{"wrong-id-ack", func(conn net.Conn, _ uint64) error {
 			var e wire.Encoder
 			e.U64(99999) // not the requested subscription ID
 			_, err := wire.WriteFrame(conn, wire.MsgSubAck, e.Bytes())
+			return err
+		}},
+		{"error-reply", func(conn net.Conn, id uint64) error {
+			_, err := wire.WriteFrame(conn, wire.MsgError, wire.EncodeError(id, "no such dataset"))
 			return err
 		}},
 	}
@@ -570,11 +522,20 @@ func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if _, _, _, err := wire.ReadFrame(conn); err != nil { // the subscribe
+				if _, _, _, err := wire.ReadFrame(conn); err != nil { // the hello
 					sawClose <- err
 					return
 				}
-				if err := tc.reply(conn); err != nil {
+				if _, err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.EncodeHelloAck(wire.HelloInfo{Name: "bad"})); err != nil {
+					sawClose <- err
+					return
+				}
+				_, payload, _, err := wire.ReadFrame(conn) // the subscribe
+				if err != nil {
+					sawClose <- err
+					return
+				}
+				if err := tc.reply(conn, peekID(payload)); err != nil {
 					sawClose <- err
 					return
 				}
@@ -583,14 +544,12 @@ func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 				sawClose <- err
 			}()
 
-			conn, err := net.Dial("tcp", ln.Addr().String())
+			mx, err := DialMux(ln.Addr().String(), DialOpts{HandshakeTimeout: 2 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := evTable(3, 50, 0)
-			sub := muxEventsSub(t, events, diffPipelines()[0], 4)
-			sub.ID = 7
-			if _, err := subscribeConnTimeout(conn, sub, 2*time.Second); err == nil {
+			sub := muxEventsSub(t, evTable(3, 50, 0), diffPipelines()[0], 4)
+			if _, err := mx.subscribeOwned(sub); err == nil {
 				t.Fatal("subscribe succeeded against a broken handshake")
 			}
 			select {
@@ -695,7 +654,7 @@ func TestAdmissionAppendQuota(t *testing.T) {
 	srv.SetAdmission(server.AdmissionConfig{
 		Default: server.TenantQuota{AppendRowsPerSec: 1}, // burst 2
 	})
-	tr, err := DialTCPContext(t.Context(), srv.Addr(), DialOpts{})
+	tr, err := DialMuxContext(t.Context(), srv.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +682,7 @@ func TestAdmissionScanQuota(t *testing.T) {
 	srv.SetAdmission(server.AdmissionConfig{
 		Default: server.TenantQuota{ScanRowsPerSec: 1}, // burst 2
 	})
-	tr, err := DialTCPContext(t.Context(), srv.Addr(), DialOpts{})
+	tr, err := DialMuxContext(t.Context(), srv.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

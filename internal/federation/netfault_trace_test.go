@@ -48,6 +48,21 @@ func netfaultSub(t *testing.T, tc wire.TraceCtx) wire.StreamSub {
 	}
 }
 
+// netfaultMux runs a mux over a fault-wrapped connection to addr.
+func netfaultMux(t *testing.T, addr string, faults *netfault.Faults) *Mux {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mx, err := newMux(faults.Wrap(conn), addr, DialOpts{}.withDefaults())
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	t.Cleanup(mx.Close)
+	return mx
+}
+
 // waitSubscribeSpan polls the local ring for this trace's
 // client.subscribe span (the reader's deferred End races the output
 // channel close, so the span can land just after Batches drains).
@@ -84,12 +99,9 @@ func TestSubscribeTraceClosesOnSeveredTransport(t *testing.T) {
 	tc := traceToWire(root.Context())
 	defer root.End(nil)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := netfault.NewFaults(5)
-	sub, err := SubscribeConn(faults.Wrap(conn), netfaultSub(t, tc))
+	mx := netfaultMux(t, addr, faults)
+	sub, err := mx.Subscribe(netfaultSub(t, tc))
 	if err != nil {
 		t.Fatalf("subscribe handshake: %v", err)
 	}
@@ -131,13 +143,10 @@ func TestSubscribeTraceClosesOnHandshakeCut(t *testing.T) {
 	tc := traceToWire(root.Context())
 	defer root.End(nil)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := netfault.NewFaults(7)
-	faults.CutAfter(1) // the subscribe frame is the first write
-	if _, err := SubscribeConn(faults.Wrap(conn), netfaultSub(t, tc)); err == nil {
+	mx := netfaultMux(t, addr, faults)
+	faults.CutAfter(1) // the subscribe frame is the first write after the hello
+	if _, err := mx.Subscribe(netfaultSub(t, tc)); err == nil {
 		t.Fatal("subscribe succeeded over a cut transport")
 	}
 

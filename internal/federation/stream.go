@@ -1,12 +1,9 @@
 package federation
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"nexus/internal/obs/trace"
 	"nexus/internal/schema"
@@ -49,21 +46,17 @@ type SubBatch struct {
 // watermark progress; Publish/EndInput feed push-mode sources; Detach
 // retrieves the window state for resumption elsewhere.
 //
-// A subscription runs in one of two transport modes: over a dedicated
-// connection it owns (conn non-nil — the reader pulls frames off the
-// socket directly), or as one stream of a multiplexed connection (mx
-// non-nil — the Mux demultiplexes frames into this subscription's
-// inbox and the reader pulls from there). The frame semantics are
-// identical; only next() and the sever path differ.
+// A subscription is one stream of a Mux: the mux demultiplexes this
+// subscription's frames into its inbox, the reader pulls them from
+// there, and every frame it sends goes through the mux's shared write
+// path.
 type Subscription struct {
-	conn   net.Conn      // dedicated-connection mode; nil under a mux
-	mx     *Mux          // mux mode; nil on a dedicated connection
-	inbox  chan subFrame // mux mode: frames demultiplexed for this sub
-	id     uint64
-	outSch schema.Schema
-	sp     *trace.Span // client span covering the stream's lifetime; nil untraced
-
-	wmu sync.Mutex // serializes frame writes (publisher + control)
+	mx      *Mux
+	ownsMux bool          // mx was dialed for this subscription alone; the reader closes it
+	inbox   chan subFrame // frames demultiplexed for this sub
+	id      uint64
+	outSch  schema.Schema
+	sp      *trace.Span // client span covering the stream's lifetime; nil untraced
 
 	out    chan SubBatch
 	done   chan struct{} // reader terminated; state/stats/err final
@@ -81,97 +74,10 @@ type Subscription struct {
 	detaching bool       // a Detach handshake is in flight; Close must not sever it
 }
 
-// subFrame is one demultiplexed frame handed to a mux-mode
-// subscription's reader.
+// subFrame is one demultiplexed frame handed to a subscription's reader.
 type subFrame struct {
 	typ     wire.MsgType
 	payload []byte
-}
-
-var subIDs atomic.Uint64
-
-// SubscribeConn opens a subscription over an established connection
-// speaking the nexus wire protocol. It assigns the subscription ID,
-// performs the subscribe/ack exchange, and starts the reader that
-// delivers batches and auto-grants credit.
-func SubscribeConn(conn net.Conn, sub wire.StreamSub) (*Subscription, error) {
-	return subscribeConnTimeout(conn, sub, 0)
-}
-
-// subscribeConnTimeout is SubscribeConn with a deadline on the
-// subscribe/ack handshake (0 = none). Once the ack is in, the deadline
-// is lifted — the subscription itself is long-running by design. Every
-// failure exit closes the dialed connection before returning: the
-// deferred cleanup covers each path (write failure, short reply,
-// refusal, corrupt ack), so a mid-handshake error can leak neither the
-// socket nor a reader goroutine.
-func subscribeConnTimeout(conn net.Conn, sub wire.StreamSub, handshake time.Duration) (_ *Subscription, err error) {
-	sub.ID = subIDs.Add(1)
-	if sub.Credit == 0 {
-		sub.Credit = DefaultCredit
-	}
-	// Traced subscriptions carry a client span for the stream's whole
-	// life (see Mux.Subscribe); a failed handshake ends it here.
-	sp, tc := clientSpan(sub.Trace, "client.subscribe",
-		trace.String("addr", conn.RemoteAddr().String()))
-	sub.Trace = tc
-	ok := false
-	defer func() {
-		if !ok {
-			conn.Close()
-			sp.End(err)
-		}
-	}()
-	if handshake > 0 {
-		_ = conn.SetDeadline(time.Now().Add(handshake))
-	}
-	timeoutErr := func(err error) error {
-		if handshake > 0 && isTimeout(err) {
-			return &TimeoutError{Op: "subscribe", Addr: conn.RemoteAddr().String(), Elapsed: handshake}
-		}
-		return err
-	}
-	if _, err := wire.WriteFrame(conn, wire.MsgSubscribeStream, wire.EncodeSubscribeStream(sub)); err != nil {
-		return nil, timeoutErr(err)
-	}
-	typ, payload, _, err := wire.ReadFrame(conn)
-	if err != nil {
-		return nil, timeoutErr(err)
-	}
-	if handshake > 0 {
-		_ = conn.SetDeadline(time.Time{})
-	}
-	switch typ {
-	case wire.MsgSubAck:
-	case wire.MsgError:
-		_, msg, _ := wire.DecodeError(payload)
-		return nil, fmt.Errorf("federation: subscribe: %s", msg)
-	case wire.MsgRefused:
-		return nil, decodeRefused("subscribe", payload)
-	default:
-		return nil, fmt.Errorf("federation: server replied %v to subscribe", typ)
-	}
-	ackID, outSch, err := wire.DecodeSubAck(payload)
-	if err != nil {
-		return nil, err
-	}
-	if ackID != sub.ID {
-		return nil, fmt.Errorf("federation: subscribe ack for id %d, want %d", ackID, sub.ID)
-	}
-	s := &Subscription{
-		conn:      conn,
-		id:        sub.ID,
-		outSch:    outSch,
-		sp:        sp,
-		out:       make(chan SubBatch, 1),
-		done:      make(chan struct{}),
-		closed:    make(chan struct{}),
-		pubCredit: server.PublishWindow,
-	}
-	s.pubCond = sync.NewCond(&s.mu)
-	ok = true
-	go s.readLoop()
-	return s, nil
 }
 
 // OutputSchema is the schema of result batches.
@@ -181,46 +87,40 @@ func (s *Subscription) OutputSchema() schema.Schema { return s.outSch }
 // terminates (channel close). Check Err afterwards.
 func (s *Subscription) Batches() <-chan SubBatch { return s.out }
 
-// readLoop is the subscription's single reader: it consumes frames from
-// its transport — the dedicated socket, or the mux-fed inbox — and
-// dispatches them until the terminal frame or a transport failure.
+// readLoop is the subscription's single reader: it consumes the frames
+// the mux routed to its inbox and dispatches them until the terminal
+// frame or a transport failure.
 func (s *Subscription) readLoop() {
 	// The client subscription span ends with the stream, carrying the
 	// terminal error (a severed transport or dropped connection closes
 	// it with error status — it never lingers open in the ring).
 	defer func() { s.sp.End(s.Err()) }()
-	defer close(s.done)
+	defer func() {
+		// Termination becomes visible under s.mu before the broadcast, so
+		// a Publish blocked on credit cannot wake, re-check, miss it and
+		// sleep again with nobody left to wake it.
+		s.mu.Lock()
+		close(s.done)
+		s.mu.Unlock()
+		s.pubCond.Broadcast()
+	}()
 	defer close(s.out)
-	if s.mx != nil {
-		defer s.mx.forgetSub(s.id)
-	} else {
-		defer s.conn.Close()
-	}
-	// Release any Publish blocked on credit once the stream is over.
-	defer s.pubCond.Broadcast()
+	defer func() {
+		s.mx.forgetSub(s.id)
+		if s.ownsMux {
+			s.mx.Close()
+		}
+	}()
 	for {
-		typ, payload, err := s.next()
-		if err != nil {
-			s.fail(fmt.Errorf("federation: subscription read: %w", err))
+		f, ok := <-s.inbox
+		if !ok {
+			s.fail(fmt.Errorf("federation: subscription read: %w", s.mx.subSeverErr()))
 			return
 		}
-		if s.handleFrame(typ, payload) {
+		if s.handleFrame(f.typ, f.payload) {
 			return
 		}
 	}
-}
-
-// next delivers the subscription's next frame from its transport.
-func (s *Subscription) next() (wire.MsgType, []byte, error) {
-	if s.mx == nil {
-		typ, payload, _, err := wire.ReadFrame(s.conn)
-		return typ, payload, err
-	}
-	f, ok := <-s.inbox
-	if !ok {
-		return 0, nil, s.mx.subSeverErr()
-	}
-	return f.typ, f.payload, nil
 }
 
 // handleFrame dispatches one stream frame, reporting whether it was
@@ -236,7 +136,7 @@ func (s *Subscription) handleFrame(typ wire.MsgType, payload []byte) (done bool)
 		select {
 		case s.out <- SubBatch{Table: t, Watermark: mark, Seq: seq}:
 			// Consumed (or buffered): hand the server its credit back.
-			s.writeFrame(wire.MsgCredit, wire.EncodeCredit(s.id, 1))
+			s.mx.writeRaw(wire.MsgCredit, wire.EncodeCredit(s.id, 1))
 		case <-s.closed:
 			// The subscriber stopped consuming mid-close. The server
 			// already counts this batch as delivered, so it is not in
@@ -323,18 +223,6 @@ func (s *Subscription) State() *stream.State {
 	return s.state
 }
 
-// writeFrame sends one frame under the write lock (the mux's shared
-// one, or this subscription's own in dedicated-connection mode).
-func (s *Subscription) writeFrame(t wire.MsgType, payload []byte) error {
-	if s.mx != nil {
-		return s.mx.writeRaw(t, payload)
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	_, err := wire.WriteFrame(s.conn, t, payload)
-	return err
-}
-
 // Publish pushes one event batch upstream (push-mode subscriptions),
 // blocking while the publish window is exhausted.
 func (s *Subscription) Publish(t *table.Table) error {
@@ -352,7 +240,7 @@ func (s *Subscription) Publish(t *table.Table) error {
 	}
 	s.pubCredit--
 	s.mu.Unlock()
-	return s.writeFrame(wire.MsgStreamPublish, wire.EncodeStreamPublish(s.id, t))
+	return s.mx.writeRaw(wire.MsgStreamPublish, wire.EncodeStreamPublish(s.id, t))
 }
 
 // terminatedLocked reports whether the reader has finished (s.mu held).
@@ -368,7 +256,7 @@ func (s *Subscription) terminatedLocked() bool {
 // EndInput ends a push-mode stream: the remote pipeline drains, flushes
 // its final windows, and terminates with stats.
 func (s *Subscription) EndInput() error {
-	return s.writeFrame(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseEndInput))
+	return s.mx.writeRaw(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseEndInput))
 }
 
 // Detach stops the remote pipeline and returns its window state — the
@@ -382,7 +270,7 @@ func (s *Subscription) Detach() (*stream.State, []SubBatch, error) {
 	s.detaching = true
 	s.mu.Unlock()
 	s.closeOnce.Do(func() { close(s.closed) })
-	if err := s.writeFrame(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseDetach)); err != nil {
+	if err := s.mx.writeRaw(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseDetach)); err != nil {
 		return nil, nil, err
 	}
 	<-s.done
@@ -408,7 +296,7 @@ func (s *Subscription) Detach() (*stream.State, []SubBatch, error) {
 // Cancel aborts the subscription without asking for state.
 func (s *Subscription) Cancel() error {
 	s.closeOnce.Do(func() { close(s.closed) })
-	if err := s.writeFrame(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseCancel)); err != nil {
+	if err := s.mx.writeRaw(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseCancel)); err != nil {
 		return err
 	}
 	<-s.done
@@ -429,58 +317,37 @@ func (s *Subscription) Wait() (*stream.Stats, error) {
 	return s.stats, nil
 }
 
-// Close tears the subscription down (abrupt; prefer Cancel/Detach).
-// When a Detach handshake is already in flight — a merge loop closing
-// its partitions while the caller detaches them — Close lets the
-// handshake finish instead of severing the connection under it. On a
-// dedicated connection the sever closes the socket; under a mux it
-// must not (siblings share it) — instead the server is asked to cancel
-// the stream best-effort and the subscription is cut loose from the
-// demultiplexer.
+// Close abandons the subscription the way a dropped connection would,
+// without severing a connection its siblings share: the server is asked
+// to detach — a durable checkpoint is saved, never retired — and the
+// subscription is cut loose from the demultiplexer without waiting for
+// the state (the mux drops it as a late frame). When a Detach handshake
+// is already in flight — a merge loop closing its partitions while the
+// caller detaches them — Close lets the handshake finish instead.
 func (s *Subscription) Close() {
 	s.closeOnce.Do(func() { close(s.closed) })
 	s.mu.Lock()
 	detaching := s.detaching
 	s.mu.Unlock()
 	if !detaching {
-		if s.mx != nil {
-			_ = s.mx.writeRaw(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseCancel))
-			s.mx.severSub(s.id)
-		} else {
-			s.conn.Close()
-		}
+		_ = s.mx.writeRaw(wire.MsgStreamClose, wire.EncodeStreamClose(s.id, wire.CloseDetach))
+		s.mx.severSub(s.id)
 	}
 	<-s.done
 }
 
-// Subscribe implements StreamTransport for TCP: each subscription runs
-// on its own connection, so request/response traffic never interleaves
-// with stream frames. The dial and the subscribe/ack handshake run
-// under the default timeouts (see DialOpts).
-func (t *TCP) Subscribe(sub wire.StreamSub) (*Subscription, error) {
-	return t.SubscribeContext(context.Background(), sub, DialOpts{})
-}
-
-// SubscribeContext is Subscribe with a caller-supplied context and
-// network budgets: the per-subscription dial respects ctx and
-// opts.ConnectTimeout, and the subscribe/ack exchange runs under
-// opts.HandshakeTimeout. Budgets that run out surface as *TimeoutError.
-func (t *TCP) SubscribeContext(ctx context.Context, sub wire.StreamSub, opts DialOpts) (*Subscription, error) {
-	opts = opts.withDefaults()
-	conn, err := dialConn(ctx, t.addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return subscribeConnTimeout(conn, sub, opts.HandshakeTimeout)
-}
-
-// Subscribe implements StreamTransport for InProc: the subscription runs
-// real protocol bytes through an in-memory pipe served by the same
-// server code path a TCP subscription hits, so the two transports cannot
-// diverge. The transport's shared expression cache spans subscriptions,
-// like a TCP server's does.
+// Subscribe implements StreamTransport for InProc: each subscription
+// gets its own mux over an in-memory pipe, served by the same server
+// code a TCP connection hits, so the two transports cannot diverge. The
+// subscription owns that mux and closes it when its reader ends. The
+// transport's shared expression cache spans subscriptions, like a TCP
+// server's does.
 func (t *InProc) Subscribe(sub wire.StreamSub) (*Subscription, error) {
 	cli, srv := net.Pipe()
 	go func() { _ = server.ServeConnCached(t.prov, srv, t.exprCache()) }()
-	return SubscribeConn(cli, sub)
+	mx, err := newMux(cli, "", DialOpts{}.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return mx.subscribeOwned(sub)
 }

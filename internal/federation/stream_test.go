@@ -234,7 +234,8 @@ func inprocTransports(t *testing.T, events *table.Table, n int) []StreamTranspor
 	return trs
 }
 
-// tcpTransports starts n TCP servers all hosting the events dataset.
+// tcpTransports starts n TCP servers all hosting the events dataset and
+// dials a mux to each.
 func tcpTransports(t *testing.T, events *table.Table, n int) []StreamTransport {
 	t.Helper()
 	trs := make([]StreamTransport, n)
@@ -249,12 +250,12 @@ func tcpTransports(t *testing.T, events *table.Table, n int) []StreamTransport {
 		}
 		srv.Logf = func(string, ...any) {}
 		t.Cleanup(srv.Close)
-		tr, err := DialTCP(srv.Addr())
+		mx, err := DialMux(srv.Addr(), DialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(tr.Close)
-		trs[i] = tr
+		t.Cleanup(mx.Close)
+		trs[i] = mx
 	}
 	return trs
 }
@@ -264,9 +265,10 @@ func tcpTransports(t *testing.T, events *table.Table, n int) []StreamTransport {
 
 // TestDifferentialFederatedStreams: every window kind and the enrichment
 // join produce byte-identical sorted results in-process and through
-// federated subscriptions — 1 and 2 providers, InProc and TCP
-// transports, late events included (jitter reaches the allowed
-// lateness bound, so some events are dropped on both sides alike).
+// federated subscriptions — 1 and 2 providers, a mux over an in-process
+// pipe (InProc) and over a TCP socket, late events included (jitter
+// reaches the allowed lateness bound, so some events are dropped on
+// both sides alike).
 func TestDifferentialFederatedStreams(t *testing.T) {
 	events := evTable(99, 400, 8)
 	transports := map[string]func(*testing.T, *table.Table, int) []StreamTransport{
@@ -317,7 +319,7 @@ func TestDifferentialLateDrops(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Reconnect with state handoff
 
-// TestReconnectStateHandoffTCP: a TCP subscriber detaches mid-stream,
+// TestReconnectStateHandoffTCP: a subscriber over TCP detaches mid-stream,
 // receives the pipeline's window state, and resumes on a DIFFERENT
 // server (migration). The combined output is byte-identical to the
 // uninterrupted in-process run.
@@ -456,11 +458,101 @@ func TestPushSubscription(t *testing.T) {
 	}
 }
 
+// noCreditServer scripts the server half of one push subscription on
+// conn: it answers the hello and the subscribe, swallows one publish
+// window of batches without ever granting credit, ends the stream, and
+// drains until the client hangs up.
+func noCreditServer(conn net.Conn) {
+	defer conn.Close()
+	if _, _, _, err := wire.ReadFrame(conn); err != nil { // the hello
+		return
+	}
+	if _, err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.EncodeHelloAck(wire.HelloInfo{Name: "scripted"})); err != nil {
+		return
+	}
+	_, payload, _, err := wire.ReadFrame(conn)
+	if err != nil {
+		return
+	}
+	sub, err := wire.DecodeSubscribeStream(payload)
+	if err != nil {
+		return
+	}
+	if _, err := wire.WriteFrame(conn, wire.MsgSubAck, wire.EncodeSubAck(sub.ID, sub.SrcSchema)); err != nil {
+		return
+	}
+	for i := 0; i < server.PublishWindow; i++ {
+		if _, _, _, err := wire.ReadFrame(conn); err != nil {
+			return
+		}
+	}
+	if _, err := wire.WriteFrame(conn, wire.MsgStreamEnd, wire.EncodeStreamEnd(sub.ID, stream.Stats{})); err != nil {
+		return
+	}
+	for {
+		if _, _, _, err := wire.ReadFrame(conn); err != nil {
+			return
+		}
+	}
+}
+
+// TestPublishReturnsWhenStreamEnds regresses a lost wakeup: a Publish
+// blocked on exhausted publish credit must return once the stream
+// terminates. The scripted server never grants credit and ends the
+// stream as soon as the window is spent, so the terminal frame races
+// the publishers into their wait; any one run rarely loses the race,
+// hence the loop.
+func TestPublishReturnsWhenStreamEnds(t *testing.T) {
+	spec := minimalSpec(t)
+	srcSch := schema.New(schema.Attribute{Name: "ts", Kind: value.KindInt64})
+	b := table.NewBuilder(srcSch, 1)
+	b.MustAppend(value.NewInt(0))
+	batch := b.Build()
+	for run := 0; run < 1000; run++ {
+		cli, srv := net.Pipe()
+		go noCreditServer(srv)
+		mx, err := newMux(cli, "", DialOpts{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := mx.subscribeOwned(wire.StreamSub{SourceKind: wire.StreamSrcPush, TimeCol: "ts", SrcSchema: srcSch, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < server.PublishWindow; i++ {
+			if err := s.Publish(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Several blocked publishers: each wakeup is one more chance to
+		// re-check before the stream's end became visible.
+		const pubs = 8
+		blocked := make(chan error, pubs)
+		for p := 0; p < pubs; p++ {
+			go func() { blocked <- s.Publish(batch) }()
+		}
+		deadline := time.After(time.Second)
+		for p := 0; p < pubs; p++ {
+			select {
+			case err := <-blocked:
+				if err == nil {
+					t.Fatal("publish beyond the window of an ended stream succeeded")
+				}
+			case <-deadline:
+				t.Fatalf("run %d: Publish still blocked 1s after the stream ended", run)
+			}
+		}
+		if _, err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Hello handshake leak
 
 // TestDialTCPNoLeakOnBadHello: a server that answers the hello with
-// garbage must leave no open client connection behind — the server side
+// garbage must leave no open client socket behind — the server side
 // observes EOF promptly after the failed dial.
 func TestDialTCPNoLeakOnBadHello(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -490,7 +582,7 @@ func TestDialTCPNoLeakOnBadHello(t *testing.T) {
 		sawEOF <- err
 	}()
 
-	if _, err := DialTCP(ln.Addr().String()); err == nil {
+	if _, err := DialMux(ln.Addr().String(), DialOpts{}); err == nil {
 		t.Fatal("dial succeeded against a broken hello")
 	}
 	select {

@@ -35,20 +35,21 @@ func (e *TimeoutError) Timeout() bool { return true }
 // Is makes errors.Is(err, ErrTimeout) match.
 func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
-// DialOpts configures the network budgets of DialTCPContext, DialMux
-// and SubscribeContext. The zero value gets the defaults.
+// DialOpts configures the network budgets of a Mux: DialMux,
+// DialMuxContext and SubscribeFailover take them. The zero value gets
+// the defaults.
 type DialOpts struct {
 	// ConnectTimeout bounds the TCP connect (default 5s).
 	ConnectTimeout time.Duration
-	// HandshakeTimeout bounds the request/reply exchange that follows
-	// the connect — hello ack, subscribe ack (default: ConnectTimeout).
+	// HandshakeTimeout bounds the hello exchange that follows the
+	// connect and every subscribe ack (default: ConnectTimeout).
 	HandshakeTimeout time.Duration
 	// RequestTimeout bounds each request/reply exchange after the
 	// handshake — Execute, Store, Append, Drop (default 60s; negative
 	// disables). A server that accepts a request and then goes silent
 	// fails the call with a *TimeoutError instead of hanging it
-	// forever; the connection is poisoned afterwards, since a late
-	// reply would desynchronize the framing.
+	// forever; the whole mux is poisoned afterwards, since FIFO
+	// correlation would credit a late reply to the next call.
 	RequestTimeout time.Duration
 	// Tenant is the admission-control token sent in the hello exchange.
 	// Servers with per-tenant quotas account this connection's

@@ -30,7 +30,8 @@ type OpsRegistry struct {
 	slowNs atomic.Int64 // 0 = slow-op log off
 
 	// Rate limit for slow-op lines: a small token bucket so a storm of
-	// slow ops logs a sample, not a flood.
+	// slow ops logs a sample, not a flood. slowMu also serializes the
+	// writes to slowOut.
 	slowMu     sync.Mutex
 	slowTokens float64
 	slowLast   time.Time
@@ -266,6 +267,7 @@ const (
 
 func (r *OpsRegistry) logSlow(o *Op, dur time.Duration, err error) {
 	r.slowMu.Lock()
+	defer r.slowMu.Unlock()
 	now := time.Now()
 	if r.slowLast.IsZero() {
 		r.slowTokens = slowBurst
@@ -277,13 +279,10 @@ func (r *OpsRegistry) logSlow(o *Op, dur time.Duration, err error) {
 	}
 	r.slowLast = now
 	if r.slowTokens < 1 {
-		r.slowMu.Unlock()
 		r.slowDrops.Add(1)
 		return
 	}
 	r.slowTokens--
-	out := r.slowOut
-	r.slowMu.Unlock()
 
 	line := slowOpLine{
 		TS:         now,
@@ -301,7 +300,7 @@ func (r *OpsRegistry) logSlow(o *Op, dur time.Duration, err error) {
 		line.Error = err.Error()
 	}
 	if b, e := json.Marshal(line); e == nil {
-		_, _ = fmt.Fprintf(out, "%s\n", b)
+		_, _ = fmt.Fprintf(r.slowOut, "%s\n", b)
 	}
 }
 

@@ -98,14 +98,14 @@ func TestSIGKILLPrimaryFailover(t *testing.T) {
 	defer kill()
 
 	events := eventsTable(5000)
-	tcp, err := federation.DialTCP(primaryAddr)
+	mx, err := federation.DialMux(primaryAddr, federation.DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tcp.Store("events", events, nil); err != nil {
+	if err := mx.Store("events", events, nil); err != nil {
 		t.Fatal(err)
 	}
-	tcp.Close()
+	mx.Close()
 
 	// Local follower: replica engine + continuous replicator + a server
 	// for failed-over subscribers. The dataset is fully replicated before

@@ -1,7 +1,6 @@
 package nexus
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"nexus/internal/storage"
 	"nexus/internal/stream"
 	"nexus/internal/table"
-	"nexus/internal/wire"
 )
 
 // EngineKind selects an in-process back-end engine type.
@@ -198,10 +196,7 @@ type ConnectOptions struct {
 	// (per-tenant quotas; see server.AdmissionConfig). Empty is the
 	// anonymous tenant.
 	Tenant string
-	// Mux multiplexes everything the session sends to this server —
-	// queries, appends and any number of stream subscriptions — over ONE
-	// TCP connection with per-stream flow control, instead of opening a
-	// dedicated connection per subscription.
+	// Deprecated: every connection is multiplexed; ignored.
 	Mux bool
 	// ConnectTimeout and RequestTimeout override the network budgets
 	// (zero keeps the defaults; see federation.DialOpts).
@@ -216,8 +211,10 @@ type ConnectOptions struct {
 }
 
 // Connect attaches a remote nexus server as a provider with explicit
-// front-door options: a tenant identity for admission control, request
-// budgets, and optionally a multiplexed connection.
+// front-door options: a tenant identity for admission control and
+// request budgets. Everything the session sends to the server —
+// queries, appends and any number of stream subscriptions — shares ONE
+// multiplexed connection with per-stream flow control.
 func (s *Session) Connect(addr string, o ConnectOptions) (string, error) {
 	opts := federation.DialOpts{
 		ConnectTimeout: o.ConnectTimeout,
@@ -227,13 +224,7 @@ func (s *Session) Connect(addr string, o ConnectOptions) (string, error) {
 	if o.Trace {
 		opts.Trace = toWireTrace(s.traceRoot().Context())
 	}
-	var tr remoteTransport
-	var err error
-	if o.Mux {
-		tr, err = federation.DialMux(addr, opts)
-	} else {
-		tr, err = federation.DialTCPContext(context.Background(), addr, opts)
-	}
+	tr, err := federation.DialMux(addr, opts)
 	if err != nil {
 		return "", err
 	}
@@ -390,21 +381,10 @@ func (s *Session) Query(src string) *Query {
 	return &Query{s: s, node: n, err: err}
 }
 
-// remoteTransport is the client half a remote provider rides on: both
-// the dedicated-connection TCP transport and the multiplexed Mux
-// satisfy it.
-type remoteTransport interface {
-	federation.StreamTransport
-	Hello() wire.HelloInfo
-	Capabilities() provider.Capabilities
-	Append(name string, t *table.Table, m *federation.Metrics) error
-	Close()
-}
-
-// remoteProvider adapts a remote transport into the provider interface
-// so the planner treats remote servers like local engines.
+// remoteProvider adapts a remote server's mux into the provider
+// interface so the planner treats remote servers like local engines.
 type remoteProvider struct {
-	tr remoteTransport
+	tr *federation.Mux
 }
 
 var _ provider.Provider = (*remoteProvider)(nil)

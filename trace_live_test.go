@@ -283,9 +283,7 @@ func TestCrossProcessTraceDifferential(t *testing.T) {
 	// hello record under the session's root, so the server's handshake
 	// span lands in the same trace as everything that follows.
 	s := nexus.NewSession()
-	if _, err := s.Connect(primaryAddr, nexus.ConnectOptions{
-		Mux: true, Tenant: "acme", Trace: true,
-	}); err != nil {
+	if _, err := s.Connect(primaryAddr, nexus.ConnectOptions{Tenant: "acme", Trace: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -338,7 +336,7 @@ func TestCrossProcessTraceDifferential(t *testing.T) {
 			Spec: traceWindowedSpec(t), Durable: "job", Credit: 2,
 			Trace: m.Trace,
 		},
-		federation.FailoverOpts{Backoff: b, Mux: true, Logf: t.Logf},
+		federation.FailoverOpts{Backoff: b, Logf: t.Logf},
 	)
 	if err != nil {
 		t.Fatal(err)
