@@ -2,8 +2,6 @@ package array
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"nexus/internal/core"
 	"nexus/internal/engines/exec"
@@ -20,109 +18,18 @@ import (
 // engine pairs with a ScaLAPACK-class engine for gemm — exactly the
 // paper's multi-server example).
 type Engine struct {
-	name  string
-	cache *exec.ExprCache // compiled-expression cache shared across Executes
-
-	mu       sync.RWMutex
-	datasets map[string]*table.Table
+	exec.Engine
+	*exec.Tables
 }
 
 var _ provider.Provider = (*Engine)(nil)
 
 // New returns an empty array engine.
 func New(name string) *Engine {
-	if name == "" {
-		name = "array"
-	}
-	return &Engine{name: name, cache: exec.NewExprCache(), datasets: map[string]*table.Table{}}
-}
-
-// Name implements provider.Provider.
-func (e *Engine) Name() string { return e.name }
-
-// Capabilities implements provider.Provider.
-func (e *Engine) Capabilities() provider.Capabilities {
-	return provider.AllOps().Without(core.KExcept, core.KIntersect, core.KMatMul)
-}
-
-// Store implements provider.Provider.
-func (e *Engine) Store(name string, t *table.Table) error {
-	if name == "" {
-		return fmt.Errorf("array: empty dataset name")
-	}
-	if t == nil {
-		return fmt.Errorf("array: nil table for %q", name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.datasets[name] = t
-	return nil
-}
-
-// Drop implements provider.Provider.
-func (e *Engine) Drop(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.datasets, name)
-}
-
-// Dataset returns a hosted table.
-func (e *Engine) Dataset(name string) (*table.Table, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.datasets[name]
-	return t, ok
-}
-
-// DatasetSchema implements provider.Provider.
-func (e *Engine) DatasetSchema(name string) (schema.Schema, bool) {
-	t, ok := e.Dataset(name)
-	if !ok {
-		return schema.Schema{}, false
-	}
-	return t.Schema(), true
-}
-
-// Datasets implements provider.Provider.
-func (e *Engine) Datasets() []provider.DatasetInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]provider.DatasetInfo, 0, len(e.datasets))
-	for n, t := range e.datasets {
-		out = append(out, provider.DatasetInfo{Name: n, Schema: t.Schema(), Rows: int64(t.NumRows())})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Execute implements provider.Provider, rejecting plans that exceed the
-// advertised capabilities (a real server would too).
-func (e *Engine) Execute(plan core.Node) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("array %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Override: e.override, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("array %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteTraced is Execute with a per-operator trace attached: tr
-// records calls, output rows and inclusive wall time for every node of
-// this plan instance (subtrees a dense kernel absorbed show as not
-// executed — the kernel's root carries their time).
-func (e *Engine) ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("array %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Override: e.override, Cache: e.cache, Trace: tr}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("array %q: %w", e.name, err)
-	}
-	return t, nil
+	e := &Engine{Tables: exec.NewTables("array")}
+	caps := provider.AllOps().Without(core.KExcept, core.KIntersect, core.KMatMul)
+	e.Engine = exec.NewEngine("array", name, caps, e.Dataset, e.override)
+	return e
 }
 
 // override substitutes dense kernels for window, fill, elemwise and

@@ -46,12 +46,15 @@ func (e *Env) Lookup(name string) (*table.Table, bool) {
 // implementations use it to evaluate their children.
 type RecFunc func(n core.Node, env *Env) (*table.Table, error)
 
+// OverrideFunc is an engine's native-kernel hook: consulted for every
+// node, it may take over the node's evaluation (handled=true).
+type OverrideFunc func(n core.Node, env *Env, rec RecFunc) (t *table.Table, handled bool, err error)
+
 // Runtime executes algebra plans. Datasets resolves Scan leaves;
-// Override, when non-nil, is consulted for every node and may take over
-// its evaluation (handled=true).
+// Override, when non-nil, is consulted for every node.
 type Runtime struct {
 	Datasets func(name string) (*table.Table, bool)
-	Override func(n core.Node, env *Env, rec RecFunc) (t *table.Table, handled bool, err error)
+	Override OverrideFunc
 
 	// Parallelism caps the morsel worker pool used by filter, extend and
 	// hash-join evaluation: 0 means one worker per available CPU, 1 runs

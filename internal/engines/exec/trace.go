@@ -8,6 +8,7 @@ import (
 
 	"nexus/internal/core"
 	"nexus/internal/obs"
+	"nexus/internal/table"
 )
 
 // Execution-layer metrics. Per-kernel counters are pre-resolved into a
@@ -63,6 +64,13 @@ type OpStats struct {
 type Trace struct {
 	mu  sync.Mutex
 	ops map[core.Node]*OpStats
+}
+
+// TracedExecutor is a provider that can run a plan with a Trace
+// attached. Every local engine implements it through Engine; remote
+// providers do not (their operators run in another process).
+type TracedExecutor interface {
+	ExecuteTraced(plan core.Node, tr *Trace) (*table.Table, error)
 }
 
 // NewTrace returns an empty trace.

@@ -2,8 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"sync/atomic"
 
 	"nexus/internal/core"
 	"nexus/internal/engines/exec"
@@ -24,146 +23,34 @@ const (
 // iteration, with native kernels substituted for recognized iterate
 // shapes.
 type Engine struct {
-	name  string
-	cache *exec.ExprCache // compiled-expression cache shared across Executes
+	exec.Engine
+	*exec.Tables
 
-	mu       sync.RWMutex
-	datasets map[string]*table.Table
-
-	// KernelCalls counts native-kernel substitutions, observable by the
+	// kernelCalls counts native-kernel substitutions, observable by the
 	// intent-preservation experiment.
-	kernelCalls int64
+	kernelCalls atomic.Int64
 }
 
 var _ provider.Provider = (*Engine)(nil)
 
-// New returns an empty graph engine.
+// New returns an empty graph engine. Its capabilities are the
+// relational core and control iteration (no array operators, no
+// matmul), plus the native kernels.
 func New(name string) *Engine {
-	if name == "" {
-		name = "graph"
-	}
-	return &Engine{name: name, cache: exec.NewExprCache(), datasets: map[string]*table.Table{}}
-}
-
-// Name implements provider.Provider.
-func (e *Engine) Name() string { return e.name }
-
-// Capabilities implements provider.Provider: the relational core and
-// control iteration (no array operators, no matmul), plus the native
-// kernels.
-func (e *Engine) Capabilities() provider.Capabilities {
-	return provider.NewCapabilities(
+	e := &Engine{Tables: exec.NewTables("graph")}
+	caps := provider.NewCapabilities(
 		core.KScan, core.KLiteral, core.KVar, core.KLet,
 		core.KFilter, core.KProject, core.KRename, core.KExtend,
 		core.KJoin, core.KProduct, core.KGroupAgg, core.KDistinct,
 		core.KSort, core.KLimit, core.KUnion,
 		core.KIterate,
 	).WithKernels(KernelPageRank, KernelConnectedComponents, KernelSSSP)
-}
-
-// Store implements provider.Provider.
-func (e *Engine) Store(name string, t *table.Table) error {
-	if name == "" {
-		return fmt.Errorf("graph: empty dataset name")
-	}
-	if t == nil {
-		return fmt.Errorf("graph: nil table for %q", name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.datasets[name] = t
-	return nil
-}
-
-// Drop implements provider.Provider.
-func (e *Engine) Drop(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.datasets, name)
-}
-
-// Dataset returns a hosted table.
-func (e *Engine) Dataset(name string) (*table.Table, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.datasets[name]
-	return t, ok
-}
-
-// DatasetSchema implements provider.Provider.
-func (e *Engine) DatasetSchema(name string) (schema.Schema, bool) {
-	t, ok := e.Dataset(name)
-	if !ok {
-		return schema.Schema{}, false
-	}
-	return t.Schema(), true
-}
-
-// Datasets implements provider.Provider.
-func (e *Engine) Datasets() []provider.DatasetInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]provider.DatasetInfo, 0, len(e.datasets))
-	for n, t := range e.datasets {
-		out = append(out, provider.DatasetInfo{Name: n, Schema: t.Schema(), Rows: int64(t.NumRows())})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	e.Engine = exec.NewEngine("graph", name, caps, e.Dataset, e.override)
+	return e
 }
 
 // KernelCalls returns how many plans were executed by native kernels.
-func (e *Engine) KernelCalls() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.kernelCalls
-}
-
-func (e *Engine) bumpKernelCalls() {
-	e.mu.Lock()
-	e.kernelCalls++
-	e.mu.Unlock()
-}
-
-// Execute implements provider.Provider. Recognized iterate shapes run on
-// the native kernels; everything else runs on the generic runtime.
-func (e *Engine) Execute(plan core.Node) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("graph %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Override: e.override, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("graph %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteTraced is Execute with a per-operator trace attached: tr
-// records calls, output rows and inclusive wall time for every node of
-// this plan instance (subtrees a native kernel absorbed show as not
-// executed — the kernel's root carries their time).
-func (e *Engine) ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("graph %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Override: e.override, Cache: e.cache, Trace: tr}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("graph %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteGeneric runs the plan with kernel substitution disabled — the
-// baseline of the intent-preservation comparison.
-func (e *Engine) ExecuteGeneric(plan core.Node) (*table.Table, error) {
-	rt := &exec.Runtime{Datasets: e.Dataset, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("graph %q (generic): %w", e.name, err)
-	}
-	return t, nil
-}
+func (e *Engine) KernelCalls() int64 { return e.kernelCalls.Load() }
 
 // override substitutes native kernels for recognized plan shapes. The
 // recognizers only fire on whole Let/Iterate subtrees, so partial matches
@@ -179,7 +66,7 @@ func (e *Engine) override(n core.Node, env *exec.Env, rec exec.RecFunc) (*table.
 		if err != nil {
 			return nil, false, err
 		}
-		e.bumpKernelCalls()
+		e.kernelCalls.Add(1)
 		return t, true, nil
 	}
 	if edges, vertices, ok := RecognizeConnectedComponents(n); ok {
@@ -187,7 +74,7 @@ func (e *Engine) override(n core.Node, env *exec.Env, rec exec.RecFunc) (*table.
 		if err != nil {
 			return nil, false, err
 		}
-		e.bumpKernelCalls()
+		e.kernelCalls.Add(1)
 		return t, true, nil
 	}
 	if edges, vertices, src, ok := RecognizeSSSP(n); ok {
@@ -195,7 +82,7 @@ func (e *Engine) override(n core.Node, env *exec.Env, rec exec.RecFunc) (*table.
 		if err != nil {
 			return nil, false, err
 		}
-		e.bumpKernelCalls()
+		e.kernelCalls.Add(1)
 		return t, true, nil
 	}
 	return nil, false, nil

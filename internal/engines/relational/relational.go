@@ -7,141 +7,32 @@
 package relational
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"nexus/internal/core"
 	"nexus/internal/engines/exec"
 	"nexus/internal/provider"
-	"nexus/internal/schema"
-	"nexus/internal/table"
 )
 
-// Engine is an in-memory columnar relational provider.
+// Engine is an in-memory columnar relational provider: the engine shell
+// over an in-memory dataset table, with no override kernels.
 type Engine struct {
-	name  string
-	cache *exec.ExprCache // compiled-expression cache shared across Executes
-
-	mu       sync.RWMutex
-	datasets map[string]*table.Table
+	exec.Engine
+	*exec.Tables
 }
 
 var _ provider.Provider = (*Engine)(nil)
 
-// New returns an empty engine with the given provider name.
+// New returns an empty engine with the given provider name. Its
+// capabilities are the full relational algebra, control iteration, and
+// the dimension-tagging/reduction operators that desugar to relational
+// plans — but not the dense-array kernels (window, fill, transpose,
+// element-wise) or matrix multiply, which a column store would not
+// implement natively. Those operators reach this provider only after
+// the planner desugars or re-routes them (desideratum D2's "combination
+// of such systems").
 func New(name string) *Engine {
-	if name == "" {
-		name = "relational"
-	}
-	return &Engine{name: name, cache: exec.NewExprCache(), datasets: map[string]*table.Table{}}
-}
-
-// Name implements provider.Provider.
-func (e *Engine) Name() string { return e.name }
-
-// Capabilities implements provider.Provider: the full relational algebra,
-// control iteration, and the dimension-tagging/reduction operators that
-// desugar to relational plans — but not the dense-array kernels (window,
-// fill, transpose, element-wise) or matrix multiply, which a column store
-// would not implement natively. Those operators reach this provider only
-// after the planner desugars or re-routes them (desideratum D2's
-// "combination of such systems").
-func (e *Engine) Capabilities() provider.Capabilities {
-	return provider.AllOps().Without(
+	ds := exec.NewTables("relational")
+	caps := provider.AllOps().Without(
 		core.KMatMul, core.KWindow, core.KFill, core.KElemWise, core.KTranspose,
 	)
-}
-
-// Store implements provider.Provider.
-func (e *Engine) Store(name string, t *table.Table) error {
-	if name == "" {
-		return fmt.Errorf("relational: empty dataset name")
-	}
-	if t == nil {
-		return fmt.Errorf("relational: nil table for %q", name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.datasets[name] = t
-	return nil
-}
-
-// Drop implements provider.Provider.
-func (e *Engine) Drop(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.datasets, name)
-}
-
-// Dataset returns the named table.
-func (e *Engine) Dataset(name string) (*table.Table, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.datasets[name]
-	return t, ok
-}
-
-// DatasetSchema implements provider.Provider.
-func (e *Engine) DatasetSchema(name string) (schema.Schema, bool) {
-	t, ok := e.Dataset(name)
-	if !ok {
-		return schema.Schema{}, false
-	}
-	return t.Schema(), true
-}
-
-// Datasets implements provider.Provider.
-func (e *Engine) Datasets() []provider.DatasetInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]provider.DatasetInfo, 0, len(e.datasets))
-	for n, t := range e.datasets {
-		out = append(out, provider.DatasetInfo{Name: n, Schema: t.Schema(), Rows: int64(t.NumRows())})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Execute implements provider.Provider: it evaluates the whole plan tree
-// locally, rejecting plans outside the advertised capabilities. A fresh
-// runtime per call keeps Execute safe for concurrent use.
-func (e *Engine) Execute(plan core.Node) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("relational %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("relational %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteTraced is Execute with a per-operator trace attached: tr
-// records calls, output rows and inclusive wall time for every node of
-// this plan instance (see exec.ExplainAnalyze).
-func (e *Engine) ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("relational %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.Dataset, Cache: e.cache, Trace: tr}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("relational %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteWithStats evaluates the plan and also returns runtime counters,
-// used by the benchmark harness. Unlike Execute it does not enforce the
-// advertised capability set: it is the raw reference runtime, used by
-// tests and baselines that deliberately run any operator here.
-func (e *Engine) ExecuteWithStats(plan core.Node) (*table.Table, exec.Stats, error) {
-	rt := &exec.Runtime{Datasets: e.Dataset, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, rt.Stats, fmt.Errorf("relational %q: %w", e.name, err)
-	}
-	return t, rt.Stats, nil
+	return &Engine{Engine: exec.NewEngine("relational", name, caps, ds.Dataset, nil), Tables: ds}
 }

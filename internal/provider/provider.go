@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nexus/internal/core"
 	"nexus/internal/schema"
@@ -133,7 +132,11 @@ type DatasetInfo struct {
 }
 
 // Provider is a back-end service: a data/analytics server that accepts
-// algebra plans. Implementations must be safe for concurrent use.
+// algebra plans and hosts named datasets that can be replaced (Store),
+// extended (Append) or removed (Drop). Implementations must be safe for
+// concurrent use; in particular a Store racing an Append on the same
+// dataset leaves either the stored table or the stored table plus the
+// appended rows, never the old rows plus the appended ones.
 type Provider interface {
 	// Name identifies the provider in plans and diagnostics.
 	Name() string
@@ -148,55 +151,12 @@ type Provider interface {
 	// Store registers a table under a name (shipped intermediates and
 	// user data both arrive this way).
 	Store(name string, t *table.Table) error
+	// Append adds rows to a dataset, creating it on first use; the rows'
+	// schema must equal the dataset's. Durable providers append to
+	// their WAL, in-memory ones concatenate, remote ones forward it.
+	Append(name string, t *table.Table) error
 	// Drop removes a dataset (intermediate cleanup).
 	Drop(name string)
-}
-
-// Appender is the optional append-capable provider extension: rows are
-// added to a dataset instead of replacing it, creating the dataset on
-// first use. Durable providers implement it natively (a WAL append);
-// Append emulates it for everyone else.
-type Appender interface {
-	Append(name string, t *table.Table) error
-}
-
-// appendLocks serializes emulated appends per provider: the
-// materialize-concat-store cycle is not atomic, so two concurrent
-// appends through it would each re-store their own concatenation and
-// the last writer would silently drop the other's rows.
-var appendLocks sync.Map // Provider -> *sync.Mutex
-
-// Append adds rows to a provider's dataset. Providers implementing
-// Appender get the native (durable, O(rows-added)) path; for the rest
-// the existing dataset is materialized, concatenated and re-stored —
-// correct, if not cheap, on any back end.
-func Append(p Provider, name string, t *table.Table) error {
-	if a, ok := p.(Appender); ok {
-		return a.Append(name, t)
-	}
-	mu, _ := appendLocks.LoadOrStore(p, &sync.Mutex{})
-	mu.(*sync.Mutex).Lock()
-	defer mu.(*sync.Mutex).Unlock()
-	sch, ok := p.DatasetSchema(name)
-	if !ok {
-		return p.Store(name, t)
-	}
-	if !sch.Equal(t.Schema()) {
-		return fmt.Errorf("provider: append schema %v does not match dataset %q schema %v", t.Schema(), name, sch)
-	}
-	scan, err := core.NewScan(name, sch)
-	if err != nil {
-		return err
-	}
-	cur, err := p.Execute(scan)
-	if err != nil {
-		return fmt.Errorf("provider: append: materialize %q: %w", name, err)
-	}
-	merged, err := cur.Concat(t)
-	if err != nil {
-		return err
-	}
-	return p.Store(name, merged)
 }
 
 // Registry is a set of providers keyed by name, shared by the session and

@@ -93,6 +93,7 @@ func (f *fakeProvider) DatasetSchema(name string) (schema.Schema, bool) {
 }
 func (f *fakeProvider) Execute(core.Node) (*table.Table, error) { return nil, nil }
 func (f *fakeProvider) Store(string, *table.Table) error        { return nil }
+func (f *fakeProvider) Append(string, *table.Table) error       { return nil }
 func (f *fakeProvider) Drop(string)                             {}
 
 func TestRegistry(t *testing.T) {

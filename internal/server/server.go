@@ -671,7 +671,7 @@ func (cc *connCtx) handleExecuteTo(payload []byte) error {
 }
 
 // handleAppend adds rows to a dataset (durable providers take the WAL
-// path; others are emulated via materialize + concat + store). The ack
+// path; in-memory engines concatenate). The ack
 // is only written once the rows are committed, so a client that saw it
 // may rely on them surviving a crash of a durable server.
 func (cc *connCtx) handleAppend(payload []byte) error {
@@ -689,7 +689,7 @@ func (cc *connCtx) handleAppend(payload []byte) error {
 			return cc.refuseFrame(0, r)
 		}
 	}
-	if err := provider.Append(cc.prov, name, t); err != nil {
+	if err := cc.prov.Append(name, t); err != nil {
 		op.End(err)
 		sp.End(err)
 		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))

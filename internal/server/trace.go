@@ -21,12 +21,6 @@ func traceCtx(tc wire.TraceCtx) trace.Context {
 	return trace.Context{TraceID: trace.TraceID(tc.TraceID), SpanID: trace.SpanID(tc.SpanID)}
 }
 
-// tracedExecutor is a provider that can attach a per-operator
-// exec.Trace to a plan execution; every engine implements it.
-type tracedExecutor interface {
-	ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error)
-}
-
 // scanStatsProvider exposes cumulative storage-scan counters (the
 // durable engine implements it); the execute path snapshots them
 // around a traced run so the storage span can report this request's
@@ -58,7 +52,7 @@ func snapshotScanStats(p any) scanStats {
 // span carries the segment pruning/read deltas when the provider
 // exposes them.
 func (cc *connCtx) executeTraced(plan core.Node, sp *trace.Span) (*table.Table, error) {
-	te, canTrace := cc.prov.(tracedExecutor)
+	te, canTrace := cc.prov.(exec.TracedExecutor)
 	if sp == nil || !canTrace {
 		return cc.prov.Execute(plan)
 	}

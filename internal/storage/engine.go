@@ -22,9 +22,8 @@ import (
 // filter; warm scans serve from materialized RAM tables. Every mutation
 // (Store/Append/Drop) is WAL-durable before it is acknowledged.
 type Engine struct {
-	name  string
-	st    *Store
-	cache *exec.ExprCache
+	exec.Engine
+	st *Store
 
 	mu  sync.Mutex
 	mat map[string]*table.Table // warm materialized datasets
@@ -56,43 +55,35 @@ var _ provider.Provider = (*Engine)(nil)
 // OpenEngine opens (or creates) a durable engine over the data
 // directory, recovering any committed state.
 func OpenEngine(name, dir string) (*Engine, error) {
-	if name == "" {
-		name = "durable"
-	}
 	st, err := Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{name: name, st: st, cache: exec.NewExprCache(), mat: map[string]*table.Table{}}, nil
+	return NewEngine(name, st), nil
 }
 
-// NewEngine wraps an already-open Store as a provider.
+// NewEngine wraps an already-open Store as a provider. Its capabilities
+// are the same operator set as the in-memory relational engine's: this
+// is a column store, not an array or linear-algebra system.
 func NewEngine(name string, st *Store) *Engine {
 	if name == "" {
 		name = "durable"
 	}
-	return &Engine{name: name, st: st, cache: exec.NewExprCache(), mat: map[string]*table.Table{}}
+	e := &Engine{st: st, mat: map[string]*table.Table{}}
+	caps := provider.AllOps().Without(
+		core.KMatMul, core.KWindow, core.KFill, core.KElemWise, core.KTranspose,
+	)
+	e.Engine = exec.NewEngine("storage", name, caps, e.dataset, e.override)
+	return e
 }
 
 // Backing returns the underlying durable store (checkpoints, flushes).
 // (Store would collide with the provider interface's Store method.)
 func (e *Engine) Backing() *Store { return e.st }
 
-// Name implements provider.Provider.
-func (e *Engine) Name() string { return e.name }
-
 // Durable marks the provider's datasets as surviving restarts; the
 // session's catalog listing reports it.
 func (e *Engine) Durable() bool { return true }
-
-// Capabilities implements provider.Provider: the same operator set as
-// the in-memory relational engine — this is a column store, not an
-// array or linear-algebra system.
-func (e *Engine) Capabilities() provider.Capabilities {
-	return provider.AllOps().Without(
-		core.KMatMul, core.KWindow, core.KFill, core.KElemWise, core.KTranspose,
-	)
-}
 
 // SegmentsScanned returns how many segments scans have materialized.
 func (e *Engine) SegmentsScanned() int64 { return e.segmentsScanned.Load() }
@@ -139,10 +130,10 @@ func (e *Engine) StartCompactor(every time.Duration, opts CompactOptions, logf f
 				e.compactorLast.Store(time.Now().UnixNano())
 				switch {
 				case err != nil:
-					logf("storage %q: compaction: %v", e.name, err)
+					logf("storage %q: compaction: %v", e.Name(), err)
 				case len(stats.Datasets) > 0:
 					logf("storage %q: compacted %d segments into %d (%d -> %d bytes) across %v",
-						e.name, stats.Merged, stats.Created, stats.BytesIn, stats.BytesOut, stats.Datasets)
+						e.Name(), stats.Merged, stats.Created, stats.BytesIn, stats.BytesOut, stats.Datasets)
 				}
 			}
 		}
@@ -175,7 +166,7 @@ func (e *Engine) CompactorHealth() error {
 	age := time.Since(time.Unix(0, e.compactorLast.Load()))
 	if age > 3*time.Duration(every) {
 		return fmt.Errorf("storage %q: compactor stalled: last pass %v ago (interval %v)",
-			e.name, age.Round(time.Millisecond), time.Duration(every))
+			e.Name(), age.Round(time.Millisecond), time.Duration(every))
 	}
 	return nil
 }
@@ -262,10 +253,10 @@ func (e *Engine) DropCache() {
 // Store implements provider.Provider: replace the dataset, durably.
 func (e *Engine) Store(name string, t *table.Table) error {
 	if name == "" {
-		return fmt.Errorf("storage %q: empty dataset name", e.name)
+		return fmt.Errorf("storage %q: empty dataset name", e.Name())
 	}
 	if t == nil {
-		return fmt.Errorf("storage %q: nil table for %q", e.name, name)
+		return fmt.Errorf("storage %q: nil table for %q", e.Name(), name)
 	}
 	if err := e.st.Replace(name, t); err != nil {
 		return err
@@ -348,45 +339,13 @@ func (e *Engine) dataset(name string) (*table.Table, bool) {
 	return t, err == nil
 }
 
-// Execute implements provider.Provider. The runtime's Override hook
-// implements the direct cold-scan path: a stack of Filter/Project nodes
-// over a Scan of a cold dataset (planner.AnalyzeScanAccess) reads only
-// the segments whose zone maps can satisfy the filter conjuncts, and
-// only the column pages the stack references — segment-level column
-// projection threaded down into the file reader.
-func (e *Engine) Execute(plan core.Node) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("storage %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.dataset, Override: e.override, Cache: e.cache}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("storage %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// ExecuteTraced is Execute with a per-operator trace attached: tr
-// records calls, output rows and inclusive wall time for every node of
-// this plan instance (Filter/Project stacks the pushdown kernel
-// absorbed show as not executed — the kernel's root carries their
-// time).
-func (e *Engine) ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error) {
-	if ok, missing := e.Capabilities().SupportsPlan(plan); !ok {
-		return nil, fmt.Errorf("storage %q: operator %v not supported", e.name, missing)
-	}
-	rt := &exec.Runtime{Datasets: e.dataset, Override: e.override, Cache: e.cache, Trace: tr}
-	t, err := rt.Run(plan)
-	if err != nil {
-		return nil, fmt.Errorf("storage %q: %w", e.name, err)
-	}
-	return t, nil
-}
-
-// override intercepts Filter/Project stacks over a Scan of a cold
-// dataset and serves them with zone-map pruning and column projection.
-// Everything else — and anything already warm in RAM — falls through to
-// the generic runtime.
+// override is the engine's Override hook: it implements the direct
+// cold-scan path. A stack of Filter/Project nodes over a Scan of a cold
+// dataset (planner.AnalyzeScanAccess) reads only the segments whose zone
+// maps can satisfy the filter conjuncts, and only the column pages the
+// stack references — segment-level column projection threaded down into
+// the file reader. Everything else — and anything already warm in RAM —
+// falls through to the generic runtime.
 func (e *Engine) override(n core.Node, env *exec.Env, rec exec.RecFunc) (*table.Table, bool, error) {
 	if t, ok, err := e.encodedAgg(n); ok || err != nil {
 		return t, ok, err

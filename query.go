@@ -421,13 +421,6 @@ func (q *Query) Explain() (string, error) {
 	return out + "fragments:\n" + pp.String(), nil
 }
 
-// tracedExecutor is the optional engine interface ExplainAnalyze uses:
-// every local engine implements it; remote providers do not (their
-// operators run in another process).
-type tracedExecutor interface {
-	ExecuteTraced(plan core.Node, tr *exec.Trace) (*table.Table, error)
-}
-
 // ExplainAnalyze executes the query with a per-operator trace and
 // renders the plan annotated with each operator's observed calls,
 // output rows and inclusive wall time. Plans that span fragments or run
@@ -445,7 +438,7 @@ func (q *Query) ExplainAnalyze() (string, error) {
 	if err == nil && len(pp.Fragments) == 1 {
 		frag := pp.Root()
 		if p, ok := q.s.reg.Get(frag.Provider); ok {
-			if te, ok := p.(tracedExecutor); ok {
+			if te, ok := p.(exec.TracedExecutor); ok {
 				tr := exec.NewTrace()
 				start := time.Now()
 				t, err := te.ExecuteTraced(frag.Plan, tr)
@@ -509,7 +502,7 @@ func (q *Query) CollectWithMetrics() (*Table, *Metrics, error) {
 		if p, ok := q.s.reg.Get(frag.Provider); ok {
 			if _, isRemote := p.(*remoteProvider); !isRemote {
 				var t *table.Table
-				if te, ok := p.(tracedExecutor); ok && sp != nil {
+				if te, ok := p.(exec.TracedExecutor); ok && sp != nil {
 					// Trace the local execution the same way a server
 					// traces a remote one: per-operator exec spans.
 					tr := exec.NewTrace()

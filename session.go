@@ -173,15 +173,14 @@ func (s *Session) Persist(providerName, dataset string) error {
 }
 
 // Append adds rows to a dataset on the named provider, creating it on
-// first use. Durable and remote providers take their native append
-// path (a WAL append on a -data-dir server); in-memory engines are
-// emulated via concatenation.
+// first use: a WAL append on durable providers (and -data-dir servers),
+// a concatenation on in-memory engines.
 func (s *Session) Append(providerName, dataset string, t *Table) error {
 	p, ok := s.reg.Get(providerName)
 	if !ok {
 		return fmt.Errorf("nexus: unknown provider %q", providerName)
 	}
-	return provider.Append(p, dataset, t.t)
+	return p.Append(dataset, t.t)
 }
 
 // ConnectTCP attaches a remote nexus server (started with cmd/nexus-server
@@ -423,7 +422,7 @@ func (r *remoteProvider) Store(name string, t *table.Table) error {
 	return r.tr.Store(name, t, nil)
 }
 
-// Append implements provider.Appender: the server does the append
+// Append implements provider.Provider: the server does the append
 // natively (durable servers via their WAL).
 func (r *remoteProvider) Append(name string, t *table.Table) error {
 	return r.tr.Append(name, t, nil)
