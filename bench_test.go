@@ -134,7 +134,10 @@ func BenchmarkE4Interop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord := federation.NewCoordinator(federation.NewInProc(siteA), federation.NewInProc(siteB))
+	trA, trB := federation.NewInProc(siteA), federation.NewInProc(siteB)
+	defer trA.Close()
+	defer trB.Close()
+	coord := federation.NewCoordinator(trA, trB)
 	for _, mode := range []federation.Mode{federation.ModeDirect, federation.ModeRouted} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var via int64

@@ -68,9 +68,12 @@ func E8Ablation(rows int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		coord := federation.NewCoordinator(federation.NewInProc(siteA), federation.NewInProc(siteB))
+		trA, trB := federation.NewInProc(siteA), federation.NewInProc(siteB)
+		coord := federation.NewCoordinator(trA, trB)
 		t0 := time.Now()
 		out, m, err := coord.Run(pp, federation.ModeDirect)
+		trA.Close()
+		trB.Close()
 		if err != nil {
 			return nil, fmt.Errorf("E8 %s: %w", cfg.name, err)
 		}

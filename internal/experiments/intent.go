@@ -96,9 +96,12 @@ func E3Intent(sizes []int) (*Result, error) {
 		if pp.Root().Provider != "la" {
 			return nil, fmt.Errorf("E3 n=%d: intent plan routed to %s, want la", n, pp.Root().Provider)
 		}
-		coord := federation.NewCoordinator(federation.NewInProc(rel), federation.NewInProc(la))
+		trRel, trLA := federation.NewInProc(rel), federation.NewInProc(la)
+		coord := federation.NewCoordinator(trRel, trLA)
 		t1 := time.Now()
 		fastOut, _, err := coord.Run(pp, federation.ModeDirect)
+		trRel.Close()
+		trLA.Close()
 		if err != nil {
 			return nil, fmt.Errorf("E3 intent n=%d: %w", n, err)
 		}

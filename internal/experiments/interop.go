@@ -98,8 +98,12 @@ func E4Interop(rowCounts []int, useTCP bool) (*Result, error) {
 				srvB.Close()
 			}
 		} else {
-			transports = []federation.Transport{federation.NewInProc(siteA), federation.NewInProc(siteB)}
-			cleanup = func() {}
+			ta, tb := federation.NewInProc(siteA), federation.NewInProc(siteB)
+			transports = []federation.Transport{ta, tb}
+			cleanup = func() {
+				ta.Close()
+				tb.Close()
+			}
 		}
 		coord := federation.NewCoordinator(transports...)
 		var checksums [2]uint64

@@ -59,6 +59,7 @@ func E5Iteration(nVertices, nEdges, iters int) (*Result, error) {
 		return nil, err
 	}
 	trC := federation.NewInProc(relC)
+	defer trC.Close()
 	var mC federation.Metrics
 	t0 := time.Now()
 	state, err := clientLoopPageRank(trC, &mC, nVertices, damping, iters)
@@ -80,6 +81,7 @@ func E5Iteration(nVertices, nEdges, iters int) (*Result, error) {
 		return nil, err
 	}
 	trE := federation.NewInProc(relE)
+	defer trE.Close()
 	var mE federation.Metrics
 	t1 := time.Now()
 	out, err := trE.Execute(plan, &mE)
@@ -101,6 +103,7 @@ func E5Iteration(nVertices, nEdges, iters int) (*Result, error) {
 		return nil, err
 	}
 	trG := federation.NewInProc(gr)
+	defer trG.Close()
 	var mG federation.Metrics
 	t2 := time.Now()
 	out2, err := trG.Execute(plan, &mG)

@@ -42,6 +42,7 @@ func E7Shipping(depths []int) (*Result, error) {
 			return nil, err
 		}
 		tr := federation.NewInProc(eng)
+		defer tr.Close()
 
 		// Tree mode.
 		plan, err := pipelinePlan("sales", d)

@@ -1,10 +1,11 @@
 // Package federation executes partitioned plans across multiple
-// providers — the paper's "multi-server applications" goal. A
-// Coordinator drives the fragment DAG over an abstract Transport (an
-// in-process binding for tests and benchmarks, and a Mux for real
-// servers — the one client transport, which multiplexes queries and
-// stream subscriptions over one connection) in one of two shipping
-// modes:
+// providers — the paper's "multi-server applications" goal. There is
+// one client transport, the Mux, which multiplexes queries and stream
+// subscriptions over one connection to a server: a TCP socket
+// (DialMux), or a pipe into an in-process server (InProc). Either way
+// the same server code answers, and servers reach each other through
+// one peer dialer (server.DialPeer). A Coordinator drives the fragment
+// DAG over these transports in one of two shipping modes:
 //
 //   - ModeDirect: a producing server pushes its fragment's result
 //     straight to the consuming server (desideratum D4); the client sees
@@ -80,14 +81,11 @@ type Transport interface {
 	Store(name string, t *table.Table, m *Metrics) error
 	// Drop removes a dataset (intermediate cleanup; best effort).
 	Drop(name string, m *Metrics)
-	// PeerAddr returns the address peers use to push to this server ("",
-	// for in-process transports, means pass the handle itself).
+	// PeerAddr returns the address another server pushes to when it
+	// ships an intermediate here: a TCP address, or an in-process one
+	// (server.HostPipe); server.DialPeer resolves both.
 	PeerAddr() string
 }
-
-// encodeForAccounting returns the wire encoding of a table, used to
-// attribute intermediate bytes that crossed the client in routed mode.
-func encodeForAccounting(t *table.Table) []byte { return wire.EncodeTable(t) }
 
 // Coordinator executes fragment DAGs over a set of transports.
 type Coordinator struct {
@@ -173,11 +171,12 @@ func (c *Coordinator) RunTraced(pp *planner.PartitionedPlan, mode Mode, tc wire.
 				return nil, m, fmt.Errorf("federation: fragment %d on %s → %s: %w", f.ID, f.Provider, d.provider, err)
 			}
 		case ModeRouted:
+			in := m.ClientBytesIn
 			t, err := tr.Execute(f.Plan, m)
 			if err != nil {
 				return nil, m, fmt.Errorf("federation: fragment %d on %s: %w", f.ID, f.Provider, err)
 			}
-			m.IntermediateViaClient += int64(len(encodeForAccounting(t)))
+			m.IntermediateViaClient += m.ClientBytesIn - in // the result frame that carried it
 			if err := peer.Store(d.storeAs, t, m); err != nil {
 				return nil, m, fmt.Errorf("federation: store %s on %s: %w", d.storeAs, d.provider, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"nexus/internal/engines/linalg"
 	"nexus/internal/engines/relational"
 	"nexus/internal/expr"
+	"nexus/internal/obs/trace"
 	"nexus/internal/planner"
 	"nexus/internal/provider"
 	"nexus/internal/server"
@@ -78,6 +79,13 @@ func crossSitePlan(t *testing.T, reg *provider.Registry) core.Node {
 	return ga
 }
 
+// inProc opens an in-process transport closed with the test.
+func inProc(t *testing.T, p provider.Provider) *InProc {
+	tr := NewInProc(p)
+	t.Cleanup(tr.Close)
+	return tr
+}
+
 func TestFederatedJoinInProcBothModes(t *testing.T) {
 	a, b, oracle, reg := twoSiteSetup(t, 3000)
 	_ = a
@@ -94,7 +102,7 @@ func TestFederatedJoinInProcBothModes(t *testing.T) {
 	if len(pp.Fragments) < 2 {
 		t.Fatalf("expected a multi-fragment plan, got %d fragments", len(pp.Fragments))
 	}
-	coord := NewCoordinator(NewInProc(a), NewInProc(b))
+	coord := NewCoordinator(inProc(t, a), inProc(t, b))
 
 	want, err := oracle.Execute(plan)
 	if err != nil {
@@ -126,6 +134,37 @@ func TestFederatedJoinInProcBothModes(t *testing.T) {
 	}
 	if mr.ClientBytesIn <= md.ClientBytesIn {
 		t.Fatalf("routed mode should receive more at the client (routed %d vs direct %d)", mr.ClientBytesIn, md.ClientBytesIn)
+	}
+}
+
+// A traced direct-mode run stitches the peer push into the caller's
+// trace: the consumer's server.store span, written by the producer's
+// push, parents under the client's executeto span.
+func TestDirectShipTraceStitchesPeerPush(t *testing.T) {
+	a, b, _, reg := twoSiteSetup(t, 500)
+	pp, err := planner.Partition(crossSitePlan(t, reg), reg, planner.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := trace.Default.NewRoot("ship.test")
+	defer root.End(nil)
+	coord := NewCoordinator(inProc(t, a), inProc(t, b))
+	if _, _, err := coord.RunTraced(pp, ModeDirect, traceToWire(root.Context())); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]trace.SpanData{}
+	for _, sd := range trace.Default.TraceSpans(root.Context().TraceID) {
+		byName[sd.Name] = sd
+	}
+	chain := []string{"client.executeto", "server.store"}
+	for i, name := range chain {
+		sd, ok := byName[name]
+		if !ok {
+			t.Fatalf("no %s span in the trace; have %v", name, byName)
+		}
+		if i > 0 && sd.ParentID != byName[chain[i-1]].SpanID {
+			t.Fatalf("%s parents under span %d, want %s (%d)", name, sd.ParentID, chain[i-1], byName[chain[i-1]].SpanID)
+		}
 	}
 }
 
@@ -291,7 +330,7 @@ func TestFederatedPageRankKernelRouting(t *testing.T) {
 	if pp.Root().Provider != "gr" {
 		t.Fatalf("pagerank routed to %s", pp.Root().Provider)
 	}
-	coord := NewCoordinator(NewInProc(rel), NewInProc(gr), NewInProc(la))
+	coord := NewCoordinator(inProc(t, rel), inProc(t, gr), inProc(t, la))
 	got, m, err := coord.Run(pp, ModeDirect)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +345,7 @@ func TestFederatedPageRankKernelRouting(t *testing.T) {
 		t.Fatal("dataset shipping crossed the client in direct mode")
 	}
 	// Cleanup must remove the shipped datasets from the graph engine.
-	if _, ok := gr.Dataset("edges"); ok {
-		t.Fatal("shipped edges not cleaned up")
+	if ds := gr.Datasets(); len(ds) != 0 {
+		t.Fatalf("shipped datasets not cleaned up: %v", ds)
 	}
 }

@@ -1,134 +1,59 @@
 package federation
 
 import (
-	"fmt"
-	"sync"
+	"net"
 
-	"nexus/internal/core"
-	"nexus/internal/engines/exec"
 	"nexus/internal/provider"
-	"nexus/internal/table"
+	"nexus/internal/server"
 	"nexus/internal/wire"
 )
 
-// InProc is an in-process transport: it calls the provider directly but
-// runs every plan and table through the wire codec so that byte
-// accounting matches what a socket transport would measure. Benchmarks
-// use it to isolate protocol economics from kernel scheduling noise.
+// InProc is the in-process transport: a Mux whose connection is a pipe
+// into the same server code a TCP connection reaches, so every plan,
+// result, store and peer push crosses real protocol frames and Metrics
+// counts the bytes those frames carried. The provider is hosted at an
+// in-process address (PeerAddr) that server.DialPeer resolves, so a
+// server's ExecuteTo pushes to an InProc peer exactly as it pushes to a
+// TCP one. Benchmarks use it to isolate protocol economics from socket
+// noise.
 type InProc struct {
-	prov provider.Provider
-
-	// cache is shared by every stream subscription hosted through this
-	// transport, matching the per-server cache a TCP server keeps.
-	cacheOnce sync.Once
-	cache     *exec.ExprCache
+	*Mux
+	release func() // withdraws the in-process address
 }
 
-var _ Transport = (*InProc)(nil)
+var _ StreamTransport = (*InProc)(nil)
 
-// NewInProc wraps a provider as an in-process transport.
-func NewInProc(p provider.Provider) *InProc { return &InProc{prov: p} }
-
-// exprCache returns the transport's shared compiled-expression cache.
-func (t *InProc) exprCache() *exec.ExprCache {
-	t.cacheOnce.Do(func() { t.cache = exec.NewExprCache() })
-	return t.cache
+// NewInProc hosts a provider at a fresh in-process address and opens
+// the transport's mux to it. Close releases both.
+func NewInProc(p provider.Provider) *InProc {
+	addr, release := server.HostPipe(p)
+	mx, err := DialMux(addr, DialOpts{})
+	if err != nil {
+		// A pipe's hello fails only on a broken server or a stall past
+		// the handshake budget: keep the error on a mux that never went
+		// live, so every call reports it.
+		mx = deadMux(p.Name(), addr, err)
+	}
+	return &InProc{Mux: mx, release: release}
 }
 
-// ProviderName implements Transport.
-func (t *InProc) ProviderName() string { return t.prov.Name() }
-
-// PeerAddr implements Transport (in-process peers are reached directly).
-func (t *InProc) PeerAddr() string { return "" }
-
-// Execute implements Transport.
-func (t *InProc) Execute(plan core.Node, m *Metrics) (*table.Table, error) {
-	planBytes := wire.EncodePlan(plan)
-	// Round-trip the plan through the codec: the provider sees exactly
-	// what a remote server would decode.
-	decoded, err := wire.DecodePlan(planBytes)
-	if err != nil {
-		return nil, fmt.Errorf("inproc: plan codec: %w", err)
-	}
-	if m != nil {
-		m.ClientBytesOut += int64(len(planBytes)) + frameOverhead
-		m.RoundTrips++
-	}
-	res, err := t.prov.Execute(decoded)
-	if err != nil {
-		return nil, err
-	}
-	resBytes := wire.EncodeTable(res)
-	if m != nil {
-		m.ClientBytesIn += int64(len(resBytes)) + frameOverhead
-	}
-	out, err := wire.DecodeTable(resBytes)
-	if err != nil {
-		return nil, fmt.Errorf("inproc: result codec: %w", err)
-	}
-	return out, nil
+// Close shuts the mux and withdraws the in-process address.
+func (t *InProc) Close() {
+	t.Mux.Close()
+	t.release()
 }
 
-// ExecuteTo implements Transport: the result moves provider→provider; the
-// client pays only for the plan and a small ack.
-func (t *InProc) ExecuteTo(plan core.Node, peer Transport, storeAs string, m *Metrics) error {
-	peerIn, ok := peer.(*InProc)
-	if !ok {
-		return fmt.Errorf("inproc: peer transport is %T, want *InProc", peer)
+// deadMux is a mux that failed before its hello: every call, subscribe
+// and write returns err.
+func deadMux(name, addr string, err error) *Mux {
+	conn, _ := net.Pipe()
+	m := &Mux{
+		name: name, addr: addr, conn: conn, failErr: err,
+		hello:       &wire.HelloInfo{Name: name},
+		pendingSubs: map[uint64]chan muxReply{},
+		subs:        map[uint64]chan subFrame{},
+		done:        make(chan struct{}),
 	}
-	planBytes := wire.EncodePlan(plan)
-	decoded, err := wire.DecodePlan(planBytes)
-	if err != nil {
-		return fmt.Errorf("inproc: plan codec: %w", err)
-	}
-	if m != nil {
-		m.ClientBytesOut += int64(len(planBytes)) + frameOverhead
-		m.RoundTrips++
-	}
-	res, err := t.prov.Execute(decoded)
-	if err != nil {
-		return err
-	}
-	resBytes := wire.EncodeTable(res)
-	shipped, err := wire.DecodeTable(resBytes)
-	if err != nil {
-		return fmt.Errorf("inproc: ship codec: %w", err)
-	}
-	if m != nil {
-		m.PeerBytes += int64(len(resBytes)) + frameOverhead
-		m.ClientBytesIn += ackBytes // the ack
-	}
-	return peerIn.prov.Store(storeAs, shipped)
+	close(m.done)
+	return m
 }
-
-// Store implements Transport.
-func (t *InProc) Store(name string, tab *table.Table, m *Metrics) error {
-	b := wire.EncodeStore(name, tab)
-	if m != nil {
-		m.ClientBytesOut += int64(len(b)) + frameOverhead
-		m.ClientBytesIn += ackBytes
-		m.RoundTrips++
-	}
-	decodedName, decoded, err := wire.DecodeStore(b)
-	if err != nil {
-		return fmt.Errorf("inproc: store codec: %w", err)
-	}
-	return t.prov.Store(decodedName, decoded)
-}
-
-// Drop implements Transport.
-func (t *InProc) Drop(name string, m *Metrics) {
-	if m != nil {
-		m.ClientBytesOut += int64(len(name)) + frameOverhead
-		m.ClientBytesIn += ackBytes
-		m.RoundTrips++
-	}
-	t.prov.Drop(name)
-}
-
-// Framing constants mirrored from the wire message layer: 5 header bytes
-// per frame, and an ack payload of id+rows+bytes (24) plus its frame.
-const (
-	frameOverhead = 5
-	ackBytes      = 24 + frameOverhead
-)

@@ -21,7 +21,7 @@ import (
 // per-sub wire IDs the protocol already carries. This is what "millions
 // of users" needs — thousands of subscriptions per server must not mean
 // thousands of sockets. The connection is usually a dialed TCP socket
-// (DialMux); InProc runs the same mux over an in-memory pipe.
+// (DialMux); InProc runs the same mux over an in-process pipe.
 //
 // Demultiplexing rules:
 //
@@ -119,13 +119,13 @@ func DialMux(addr string, opts DialOpts) (*Mux, error) {
 // respects both ctx and opts.ConnectTimeout, and the hello exchange runs
 // under opts.HandshakeTimeout, so a peer that accepts the connection but
 // never answers cannot hang the caller. A budget that runs out surfaces
-// as a *TimeoutError (matches ErrTimeout); a mid-handshake failure
-// closes the connection before returning.
+// as a *server.TimeoutError (matches server.ErrTimeout); a mid-handshake
+// failure closes the connection before returning.
 func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, err error) {
 	opts = opts.withDefaults()
 	sp, htc := clientSpan(opts.Trace, "client.dial_mux", trace.String("addr", addr))
 	defer func() { sp.End(err) }()
-	conn, err := dialConn(ctx, addr, opts)
+	conn, err := server.DialPeer(ctx, addr, opts.ConnectTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -146,15 +146,15 @@ func newMux(conn net.Conn, addr string, opts DialOpts) (*Mux, error) {
 	}()
 	_ = conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
 	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, opts.Trace)); err != nil {
-		if isTimeout(err) {
-			return nil, &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
+		if server.IsTimeout(err) {
+			return nil, &server.TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
 		}
 		return nil, err
 	}
 	typ, payload, _, err := wire.ReadFrame(conn)
 	if err != nil {
-		if isTimeout(err) {
-			return nil, &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
+		if server.IsTimeout(err) {
+			return nil, &server.TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
 		}
 		return nil, err
 	}
@@ -460,7 +460,7 @@ func (m *Mux) call(op string, id uint64, msg wire.MsgType, payload []byte, met *
 		}
 		return r.typ, r.payload, nil
 	case <-timeout:
-		terr := &TimeoutError{Op: op, Addr: m.addr, Elapsed: m.opts.RequestTimeout}
+		terr := &server.TimeoutError{Op: op, Addr: m.addr, Elapsed: m.opts.RequestTimeout}
 		// FIFO correlation cannot abandon one reply: a late answer
 		// would be credited to the next call. Poison the whole mux.
 		m.failAll(terr)
@@ -506,56 +506,27 @@ func (m *Mux) Execute(plan core.Node, met *Metrics) (tab *table.Table, err error
 
 // ExecuteTo implements Transport.
 func (m *Mux) ExecuteTo(plan core.Node, peer Transport, storeAs string, met *Metrics) (err error) {
-	peerAddr := peer.PeerAddr()
-	if peerAddr == "" {
-		return fmt.Errorf("federation: peer %s has no dialable address", peer.ProviderName())
-	}
 	id := m.allocID()
-	sp, _ := clientSpan(metricsTrace(met), "client.executeto",
+	sp, tc := clientSpan(metricsTrace(met), "client.executeto",
 		trace.String("provider", m.name), trace.String("peer", peer.ProviderName()))
 	defer func() { sp.End(err) }()
-	typ, reply, err := m.call("executeto", id, wire.MsgExecuteTo, wire.EncodeExecuteTo(id, peerAddr, storeAs, plan), met)
+	typ, reply, err := m.call("executeto", id, wire.MsgExecuteTo, wire.EncodeExecuteTo(id, peer.PeerAddr(), storeAs, plan, tc), met)
 	if err != nil {
 		return err
 	}
-	switch typ {
-	case wire.MsgAck:
-		_, _, shipped, err := wire.DecodeAck(reply)
-		if err != nil {
-			return err
-		}
-		if met != nil {
-			met.PeerBytes += shipped
-		}
-		return nil
-	case wire.MsgError:
-		_, msg, _ := wire.DecodeError(reply)
-		return fmt.Errorf("federation: server %s: %s", m.name, msg)
-	case wire.MsgRefused:
-		return decodeRefused("executeto", reply)
+	if typ != wire.MsgAck {
+		return m.replyErr("executeto", typ, reply)
 	}
-	return fmt.Errorf("federation: server %s replied %v to executeto", m.name, typ)
+	_, _, shipped, err := wire.DecodeAck(reply)
+	if err == nil && met != nil {
+		met.PeerBytes += shipped
+	}
+	return err
 }
 
 // Store implements Transport.
-func (m *Mux) Store(name string, tab *table.Table, met *Metrics) (err error) {
-	sp, tc := clientSpan(metricsTrace(met), "client.store",
-		trace.String("provider", m.name), trace.String("dataset", name))
-	defer func() { sp.End(err) }()
-	typ, reply, err := m.call("store", 0, wire.MsgStore, wire.EncodeStoreTrace(name, tab, tc), met)
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case wire.MsgAck:
-		return nil
-	case wire.MsgError:
-		_, msg, _ := wire.DecodeError(reply)
-		return fmt.Errorf("federation: server %s: %s", m.name, msg)
-	case wire.MsgRefused:
-		return decodeRefused("store", reply)
-	}
-	return fmt.Errorf("federation: server %s replied %v to store", m.name, typ)
+func (m *Mux) Store(name string, tab *table.Table, met *Metrics) error {
+	return m.upload("store", "client.store", wire.MsgStore, name, tab, met)
 }
 
 // Drop implements Transport (best effort).
@@ -564,24 +535,38 @@ func (m *Mux) Drop(name string, met *Metrics) {
 }
 
 // Append adds rows to a remote dataset without replacing it.
-func (m *Mux) Append(name string, tab *table.Table, met *Metrics) (err error) {
-	sp, tc := clientSpan(metricsTrace(met), "client.append",
+func (m *Mux) Append(name string, tab *table.Table, met *Metrics) error {
+	return m.upload("append", "client.append", wire.MsgAppend, name, tab, met)
+}
+
+// upload sends a table under a dataset name — a store or an append —
+// and waits for the ack.
+func (m *Mux) upload(op, spanName string, msg wire.MsgType, name string, tab *table.Table, met *Metrics) (err error) {
+	sp, tc := clientSpan(metricsTrace(met), spanName,
 		trace.String("provider", m.name), trace.String("dataset", name))
 	defer func() { sp.End(err) }()
-	typ, reply, err := m.call("append", 0, wire.MsgAppend, wire.EncodeStoreTrace(name, tab, tc), met)
+	typ, reply, err := m.call(op, 0, msg, wire.EncodeStoreTrace(name, tab, tc), met)
 	if err != nil {
 		return err
 	}
+	if typ != wire.MsgAck {
+		return m.replyErr(op, typ, reply)
+	}
+	return nil
+}
+
+// replyErr is the error an op's reply other than its success frame
+// carries: the server's error, an admission refusal, or a protocol
+// violation.
+func (m *Mux) replyErr(op string, typ wire.MsgType, reply []byte) error {
 	switch typ {
-	case wire.MsgAck:
-		return nil
 	case wire.MsgError:
 		_, msg, _ := wire.DecodeError(reply)
 		return fmt.Errorf("federation: server %s: %s", m.name, msg)
 	case wire.MsgRefused:
-		return decodeRefused("append", reply)
+		return decodeRefused(op, reply)
 	}
-	return fmt.Errorf("federation: server %s replied %v to append", m.name, typ)
+	return fmt.Errorf("federation: server %s replied %v to %s", m.name, typ, op)
 }
 
 // Subscribe implements StreamTransport: the subscription shares this
@@ -595,7 +580,7 @@ func (m *Mux) Subscribe(sub wire.StreamSub) (*Subscription, error) {
 }
 
 // subscribeOwned opens the one subscription a mux dialed for it alone
-// carries (InProc, failover attempts): the subscription owns m and
+// carries (failover attempts): the subscription owns m and
 // closes it when its reader ends, and a failed subscribe closes m at
 // once.
 func (m *Mux) subscribeOwned(sub wire.StreamSub) (*Subscription, error) {
@@ -695,7 +680,7 @@ func (m *Mux) subscribe(sub wire.StreamSub, ownsMux bool) (_ *Subscription, err 
 		// The server never acknowledged; if its pipeline starts later it
 		// would stall on credit with nobody consuming. Poison the mux
 		// rather than leak a half-open stream.
-		terr := &TimeoutError{Op: "subscribe", Addr: m.addr, Elapsed: m.opts.HandshakeTimeout}
+		terr := &server.TimeoutError{Op: "subscribe", Addr: m.addr, Elapsed: m.opts.HandshakeTimeout}
 		m.failAll(terr)
 		return nil, terr
 	}

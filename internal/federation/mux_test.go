@@ -456,10 +456,10 @@ func TestMuxRequestTimeoutSilentServer(t *testing.T) {
 
 	start := time.Now()
 	err = mx.Store("x", evTable(1, 4, 0), nil)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
+	if !errors.Is(err, server.ErrTimeout) {
+		t.Fatalf("want server.ErrTimeout, got %v", err)
 	}
-	var te *TimeoutError
+	var te *server.TimeoutError
 	if !errors.As(err, &te) || te.Op != "store" {
 		t.Fatalf("want *TimeoutError{Op: store}, got %#v", err)
 	}

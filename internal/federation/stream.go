@@ -2,12 +2,10 @@ package federation
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"nexus/internal/obs/trace"
 	"nexus/internal/schema"
-	"nexus/internal/server"
 	"nexus/internal/stream"
 	"nexus/internal/table"
 	"nexus/internal/wire"
@@ -334,20 +332,4 @@ func (s *Subscription) Close() {
 		s.mx.severSub(s.id)
 	}
 	<-s.done
-}
-
-// Subscribe implements StreamTransport for InProc: each subscription
-// gets its own mux over an in-memory pipe, served by the same server
-// code a TCP connection hits, so the two transports cannot diverge. The
-// subscription owns that mux and closes it when its reader ends. The
-// transport's shared expression cache spans subscriptions, like a TCP
-// server's does.
-func (t *InProc) Subscribe(sub wire.StreamSub) (*Subscription, error) {
-	cli, srv := net.Pipe()
-	go func() { _ = server.ServeConnCached(t.prov, srv, t.exprCache()) }()
-	mx, err := newMux(cli, "", DialOpts{}.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	return mx.subscribeOwned(sub)
 }

@@ -229,7 +229,7 @@ func inprocTransports(t *testing.T, events *table.Table, n int) []StreamTranspor
 		if err := eng.Store("events", events); err != nil {
 			t.Fatal(err)
 		}
-		trs[i] = NewInProc(eng)
+		trs[i] = inProc(t, eng)
 	}
 	return trs
 }
@@ -410,7 +410,7 @@ func TestPushSubscription(t *testing.T) {
 	pk := diffPipelines()[1] // sliding
 	want := sortedRows(t, inProcOracle(t, events, pk, 0, 1))
 	eng := relational.New("push")
-	tr := NewInProc(eng)
+	tr := inProc(t, eng)
 	sp, err := pk.build(stream.NewReplay(events, "ts")).Spec()
 	if err != nil {
 		t.Fatal(err)

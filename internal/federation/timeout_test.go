@@ -9,6 +9,7 @@ import (
 
 	"nexus/internal/core"
 	"nexus/internal/schema"
+	"nexus/internal/server"
 	"nexus/internal/stream"
 	"nexus/internal/value"
 	"nexus/internal/wire"
@@ -70,12 +71,12 @@ func TestDialMuxContextHandshakeTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dial blocked %v; the deadline did not fire", elapsed)
 	}
-	var te *TimeoutError
+	var te *server.TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("error %T (%v), want *TimeoutError", err, err)
 	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatal("timeout error does not match ErrTimeout")
+	if !errors.Is(err, server.ErrTimeout) {
+		t.Fatal("timeout error does not match server.ErrTimeout")
 	}
 	if !te.Timeout() {
 		t.Fatal("TimeoutError.Timeout() = false")
@@ -113,12 +114,12 @@ func TestSubscribeHandshakeTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("subscribe blocked %v; the deadline did not fire", elapsed)
 	}
-	var te *TimeoutError
+	var te *server.TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("error %T (%v), want *TimeoutError", err, err)
 	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatal("timeout error does not match ErrTimeout")
+	if !errors.Is(err, server.ErrTimeout) {
+		t.Fatal("timeout error does not match server.ErrTimeout")
 	}
 	if te.Op != "subscribe" {
 		t.Fatalf("Op = %q, want subscribe", te.Op)
@@ -143,10 +144,10 @@ func TestDialTCPDefaultHasDeadline(t *testing.T) {
 		if err == nil {
 			t.Fatal("dial to a silent server succeeded")
 		}
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("error %v, want ErrTimeout", err)
+		if !errors.Is(err, server.ErrTimeout) {
+			t.Fatalf("error %v, want server.ErrTimeout", err)
 		}
-	case <-time.After(DefaultConnectTimeout + 5*time.Second):
+	case <-time.After(server.DefaultConnectTimeout + 5*time.Second):
 		t.Fatal("DialMux still hangs without a deadline")
 	}
 }

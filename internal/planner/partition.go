@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"nexus/internal/core"
 	"nexus/internal/provider"
@@ -61,7 +62,7 @@ func Partition(plan core.Node, reg *provider.Registry, opts Options) (*Partition
 	if len(reg.Names()) == 0 {
 		return nil, fmt.Errorf("planner: no providers registered")
 	}
-	pt := &partitioner{reg: reg, est: NewEstimator(reg), opts: opts}
+	pt := &partitioner{reg: reg, est: NewEstimator(reg), opts: opts, queryID: rand.Uint64()}
 	pend, err := pt.assign(plan)
 	if err != nil {
 		return nil, err
@@ -88,7 +89,11 @@ type partitioner struct {
 	est       *Estimator
 	opts      Options
 	fragments []*Fragment
-	tempSeq   int
+	// queryID scopes every intermediate name to this partitioning, so
+	// concurrent queries over the same servers never store, read or
+	// drop each other's intermediates.
+	queryID uint64
+	tempSeq int
 }
 
 func (pt *partitioner) finalize(p *pending) *Fragment {
@@ -105,7 +110,7 @@ func (pt *partitioner) finalize(p *pending) *Fragment {
 
 func (pt *partitioner) tempName() string {
 	pt.tempSeq++
-	return fmt.Sprintf("__ship_%d", pt.tempSeq)
+	return fmt.Sprintf("__ship_%016x_%d", pt.queryID, pt.tempSeq)
 }
 
 // anySupporter returns the first registered provider that supports the
@@ -148,7 +153,9 @@ func (pt *partitioner) assign(n core.Node) (*pending, error) {
 
 // assignAtomic places a whole Iterate/Let subtree on a single provider:
 // control iteration runs inside an engine, not across engines. Datasets
-// the chosen provider does not host are shipped in under their own names.
+// the chosen provider does not host are shipped in under intermediate
+// names, and the subtree's scans of them read those names — a dataset of
+// the same name on the chosen provider is never overwritten or dropped.
 func (pt *partitioner) assignAtomic(n core.Node) (*pending, error) {
 	type candidate struct {
 		p      provider.Provider
@@ -198,8 +205,9 @@ func (pt *partitioner) assignAtomic(n core.Node) (*pending, error) {
 		}
 	}
 	// Ship any dataset the chosen provider lacks, from its host, under
-	// its original name.
+	// an intermediate name.
 	var inputs []ShipEdge
+	renames := map[string]string{}
 	for _, ds := range datasets {
 		if _, hosted := best.p.DatasetSchema(ds); hosted {
 			continue
@@ -213,9 +221,19 @@ func (pt *partitioner) assignAtomic(n core.Node) (*pending, error) {
 			return nil, err
 		}
 		frag := pt.finalize(&pending{prov: host.Name(), plan: scan})
-		inputs = append(inputs, ShipEdge{FromFragment: frag.ID, StoreAs: ds})
+		renames[ds] = pt.tempName()
+		inputs = append(inputs, ShipEdge{FromFragment: frag.ID, StoreAs: renames[ds]})
 	}
-	return &pending{prov: best.p.Name(), plan: n, inputs: inputs}, nil
+	plan, err := core.Rewrite(n, func(x core.Node) (core.Node, error) {
+		if s, ok := x.(*core.Scan); ok && renames[s.Dataset] != "" {
+			return core.NewScan(renames[s.Dataset], s.Schema())
+		}
+		return x, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &pending{prov: best.p.Name(), plan: plan, inputs: inputs}, nil
 }
 
 // assignOp handles ordinary operators: children are assigned first, then

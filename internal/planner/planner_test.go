@@ -1,6 +1,9 @@
 package planner
 
 import (
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -443,6 +446,50 @@ func TestPartitionKernelPreference(t *testing.T) {
 	}
 	if pp2.Root().Provider != "rel" {
 		t.Fatalf("without intent, pagerank placed on %s, want rel", pp2.Root().Provider)
+	}
+}
+
+// Every intermediate is named by one per-partitioning random id: the
+// atomic path ships datasets under such names and its scans read them,
+// and a second partitioning of the same plan names its edges apart.
+func TestShipNamesAreQueryScoped(t *testing.T) {
+	ds := testData()
+	reg := registryWith(t, ds)
+	rel, _ := reg.Get("rel")
+	if err := rel.Store("edges", datagen.UniformGraph(9, 50, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Store("vertices", graph.VerticesTable(50)); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := graph.PageRankPlan("edges", datagen.EdgeSchema(), "vertices", graph.VerticesSchema(), 50, 0.85, 30, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`^__ship_([0-9a-f]{16})_[0-9]+$`)
+	ids := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		pp, err := Partition(plan, reg, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := pp.Root()
+		var shipped []string
+		for _, in := range root.Inputs {
+			m := name.FindStringSubmatch(in.StoreAs)
+			if m == nil {
+				t.Fatalf("ship edge name %q is not query-scoped", in.StoreAs)
+			}
+			ids[m[1]] = true
+			shipped = append(shipped, in.StoreAs)
+		}
+		sort.Strings(shipped)
+		if got := core.DatasetNames(root.Plan); !reflect.DeepEqual(got, shipped) {
+			t.Fatalf("iterate scans %v, want the shipped names %v", got, shipped)
+		}
+	}
+	if len(ids) != 2 {
+		t.Fatalf("two partitionings drew query ids %v, want one each", ids)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"nexus/internal/federation"
 	"nexus/internal/obs/trace"
+	"nexus/internal/server"
 	"nexus/internal/storage"
 	"nexus/internal/wire"
 )
@@ -59,7 +60,7 @@ func (c Config) withDefaults() Config {
 		c.Interval = 500 * time.Millisecond
 	}
 	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = federation.DefaultConnectTimeout
+		c.ConnectTimeout = server.DefaultConnectTimeout
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nexus/internal/engines/exec"
 	"nexus/internal/storage"
 	"nexus/internal/wire"
 )
@@ -50,7 +51,7 @@ func TestStaleResumeEpochRefused(t *testing.T) {
 	}
 
 	cli, srv := net.Pipe()
-	go func() { _ = ServeConn(eng, srv) }()
+	go func() { _ = ServeConnCached(eng, srv, exec.NewExprCache()) }()
 	t.Cleanup(func() { cli.Close() })
 
 	// Subscribe with one batch of credit so the pipeline stalls

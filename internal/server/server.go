@@ -1,8 +1,9 @@
 // Package server hosts any nexus provider behind the wire protocol on a
-// TCP listener. Servers accept whole plans (expression trees), store
-// shipped intermediates, and — the interoperation desideratum — push
-// results directly to peer servers on request, so multi-server plans
-// never route intermediates through the application tier.
+// TCP listener or, for in-process providers, on pipes (HostPipe).
+// Servers accept whole plans (expression trees), store shipped
+// intermediates, and — the interoperation desideratum — push results
+// directly to peer servers on request, so multi-server plans never
+// route intermediates through the application tier.
 package server
 
 import (
@@ -17,7 +18,6 @@ import (
 	"nexus/internal/engines/exec"
 	"nexus/internal/obs/trace"
 	"nexus/internal/provider"
-	"nexus/internal/table"
 	"nexus/internal/wire"
 )
 
@@ -255,22 +255,14 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// ServeConn serves the wire protocol — including long-running stream
-// subscriptions — on an already-established connection, returning when
-// the connection ends. The returned error is the terminal condition: nil
-// on clean shutdown, ErrSubscriberGone when the peer vanished under an
-// active subscription, or the first dispatch failure. The in-process
-// federation transport runs real protocol bytes through a net.Pipe via
-// this entry point, so InProc and TCP subscriptions exercise one code
-// path.
-func ServeConn(prov provider.Provider, conn net.Conn) error {
-	return ServeConnCached(prov, conn, exec.NewExprCache())
-}
-
-// ServeConnCached is ServeConn with a caller-owned compiled-expression
-// cache, so a host serving many connections for one provider (the
-// in-process federation transport) compiles each subscribed plan once
-// across all of them.
+// ServeConnCached serves the wire protocol — including long-running
+// stream subscriptions — on an already-established connection with a
+// caller-owned compiled-expression cache, returning when the connection
+// ends. The returned error is the terminal condition: nil on clean
+// shutdown, ErrSubscriberGone when the peer vanished under an active
+// subscription, or the first dispatch failure. In-process addresses
+// (HostPipe) run every pipe through this entry point, so in-process and
+// TCP clients exercise one code path.
 func ServeConnCached(prov provider.Provider, conn net.Conn, cache *exec.ExprCache) error {
 	defer conn.Close()
 	cc := &connCtx{prov: prov, conn: conn, cache: cache, subs: map[uint64]*subSession{}, logf: func(string, ...any) {}}
@@ -646,7 +638,7 @@ func (cc *connCtx) handleExecute(payload []byte) error {
 // D4: "intermediate results pass directly between servers, rather than
 // being routed through the application or a middle tier."
 func (cc *connCtx) handleExecuteTo(payload []byte) error {
-	id, peerAddr, storeAs, plan, err := wire.DecodeExecuteTo(payload)
+	id, peerAddr, storeAs, plan, tc, err := wire.DecodeExecuteTo(payload)
 	if err != nil {
 		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
 	}
@@ -663,7 +655,7 @@ func (cc *connCtx) handleExecuteTo(payload []byte) error {
 	if cc.adm != nil {
 		cc.adm.chargeScan(cc.tenantState(), int64(t.NumRows()))
 	}
-	shipped, err := PushTable(peerAddr, storeAs, t)
+	shipped, err := PushTable(peerAddr, storeAs, t, tc)
 	if err != nil {
 		return cc.writeFrame(wire.MsgError, wire.EncodeError(id, fmt.Sprintf("push to %s: %v", peerAddr, err)))
 	}
@@ -703,38 +695,16 @@ func (cc *connCtx) handleAppend(payload []byte) error {
 }
 
 func (cc *connCtx) handleStore(payload []byte) error {
-	name, t, err := wire.DecodeStore(payload)
+	name, t, tc, err := wire.DecodeStoreTrace(payload)
 	if err != nil {
 		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
 	}
-	if err := cc.prov.Store(name, t); err != nil {
+	sp := trace.Default.StartChild(traceCtx(tc), "server.store")
+	sp.Set(trace.String("dataset", name), trace.Int("rows", int64(t.NumRows())))
+	err = cc.prov.Store(name, t)
+	sp.End(err)
+	if err != nil {
 		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
 	}
 	return cc.writeFrame(wire.MsgAck, wire.EncodeAck(0, int64(t.NumRows()), 0))
-}
-
-// PushTable dials a peer server, stores a table there, and waits for the
-// ack. It returns the bytes moved on the peer link.
-func PushTable(addr, name string, t *table.Table) (int, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return 0, fmt.Errorf("server: dial peer %s: %w", addr, err)
-	}
-	defer conn.Close()
-	out, err := wire.WriteFrame(conn, wire.MsgStore, wire.EncodeStore(name, t))
-	if err != nil {
-		return 0, err
-	}
-	typ, payload, in, err := wire.ReadFrame(conn)
-	if err != nil {
-		return out, err
-	}
-	if typ == wire.MsgError {
-		_, msg, _ := wire.DecodeError(payload)
-		return out + in, fmt.Errorf("server: peer %s: %s", addr, msg)
-	}
-	if typ != wire.MsgAck {
-		return out + in, fmt.Errorf("server: peer %s replied %v to store", addr, typ)
-	}
-	return out + in, nil
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
+	"nexus/internal/core"
 	"nexus/internal/datagen"
 	"nexus/internal/engines/relational"
 	"nexus/internal/wire"
@@ -114,7 +118,7 @@ func TestPushTableBetweenServers(t *testing.T) {
 	sB, engB := startServer(t)
 	_ = engA
 	tab := datagen.Products(3, 15)
-	bytes, err := PushTable(sB.Addr(), "products", tab)
+	bytes, err := PushTable(sB.Addr(), "products", tab, wire.TraceCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +128,55 @@ func TestPushTableBetweenServers(t *testing.T) {
 	got, ok := engB.Dataset("products")
 	if !ok || got.NumRows() != 15 {
 		t.Fatal("push did not land")
+	}
+}
+
+// A peer that accepts the push connection and then never answers the
+// MsgStore fails the push with a typed timeout, and the client that
+// asked for ExecuteTo gets an error frame naming the peer instead of
+// waiting forever.
+func TestExecuteToSilentPeerTimesOut(t *testing.T) {
+	defer func(d time.Duration) { pushTimeout = d }(pushTimeout)
+	pushTimeout = 200 * time.Millisecond
+	s, _ := startServer(t)
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			c, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open, never read from or answered
+		}
+	}()
+	peer := silent.Addr().String()
+
+	_, err = PushTable(peer, "x", datagen.Products(3, 15), wire.TraceCtx{})
+	var te *TimeoutError
+	if !errors.As(err, &te) || te.Op != "push" || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("PushTable to a silent peer: %v, want a push *TimeoutError", err)
+	}
+
+	conn := dial(t, s.Addr())
+	scan, err := core.NewScan("sales", datagen.SalesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.WriteFrame(conn, wire.MsgExecuteTo, wire.EncodeExecuteTo(7, peer, "x", scan, wire.TraceCtx{})); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	typ, payload, _, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("no reply to ExecuteTo with a silent peer: %v", err)
+	}
+	id, msg, _ := wire.DecodeError(payload)
+	if typ != wire.MsgError || id != 7 || !strings.Contains(msg, peer) || !strings.Contains(msg, "timed out") {
+		t.Fatalf("reply %v id %d %q, want an error for call 7 naming %s and the timeout", typ, id, msg, peer)
 	}
 }
 

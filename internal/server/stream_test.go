@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nexus/internal/core"
+	"nexus/internal/engines/exec"
 	"nexus/internal/engines/relational"
 	"nexus/internal/expr"
 	"nexus/internal/schema"
@@ -159,7 +160,7 @@ func TestSubscriberGone(t *testing.T) {
 	}
 	cli, srv := net.Pipe()
 	served := make(chan error, 1)
-	go func() { served <- ServeConn(eng, srv) }()
+	go func() { served <- ServeConnCached(eng, srv, exec.NewExprCache()) }()
 
 	sub := wire.StreamSub{
 		ID: 1, SourceKind: wire.StreamSrcDataset,
@@ -193,7 +194,7 @@ func TestSubscriberGone(t *testing.T) {
 	select {
 	case err := <-served:
 		if !errors.Is(err, ErrSubscriberGone) {
-			t.Fatalf("ServeConn returned %v, want ErrSubscriberGone", err)
+			t.Fatalf("ServeConnCached returned %v, want ErrSubscriberGone", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not release the orphaned subscription")
@@ -206,7 +207,7 @@ func TestSubscriberGone(t *testing.T) {
 func TestPushStream(t *testing.T) {
 	eng := relational.New("srv")
 	cli, srv := net.Pipe()
-	go func() { _ = ServeConn(eng, srv) }()
+	go func() { _ = ServeConnCached(eng, srv, exec.NewExprCache()) }()
 	t.Cleanup(func() { cli.Close() })
 
 	events := eventsTable(40)
@@ -258,7 +259,7 @@ func TestPushStream(t *testing.T) {
 func TestSubscribeErrors(t *testing.T) {
 	eng := relational.New("srv")
 	cli, srv := net.Pipe()
-	go func() { _ = ServeConn(eng, srv) }()
+	go func() { _ = ServeConnCached(eng, srv, exec.NewExprCache()) }()
 	t.Cleanup(func() { cli.Close() })
 
 	sub := wire.StreamSub{

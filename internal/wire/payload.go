@@ -133,26 +133,27 @@ func DecodeAck(b []byte) (id uint64, rows int64, shippedBytes int64, err error) 
 
 // EncodeExecuteTo builds a MsgExecuteTo payload: run the plan, push the
 // result to the peer server as storeAs, never returning it to the client.
-func EncodeExecuteTo(id uint64, peerAddr, storeAs string, plan core.Node) []byte {
+func EncodeExecuteTo(id uint64, peerAddr, storeAs string, plan core.Node, tc TraceCtx) []byte {
 	var e Encoder
 	e.U64(id)
 	e.Str(peerAddr)
 	e.Str(storeAs)
 	PutPlan(&e, plan)
+	PutTraceCtx(&e, tc)
 	return e.Bytes()
 }
 
 // DecodeExecuteTo parses a MsgExecuteTo payload.
-func DecodeExecuteTo(b []byte) (id uint64, peerAddr, storeAs string, plan core.Node, err error) {
+func DecodeExecuteTo(b []byte) (id uint64, peerAddr, storeAs string, plan core.Node, tc TraceCtx, err error) {
 	d := NewDecoder(b)
 	id = d.U64()
 	peerAddr = d.Str()
 	storeAs = d.Str()
 	plan, err = GetPlan(d)
 	if err != nil {
-		return 0, "", "", nil, err
+		return 0, "", "", nil, TraceCtx{}, err
 	}
-	return id, peerAddr, storeAs, plan, nil
+	return id, peerAddr, storeAs, plan, GetTraceCtx(d), nil
 }
 
 // EncodeDrop builds a MsgDrop payload.

@@ -236,9 +236,10 @@ func (s *Session) Connect(addr string, o ConnectOptions) (string, error) {
 	return tr.ProviderName(), nil
 }
 
-// Close releases every network connection the session holds (remote
-// providers attached with Connect/ConnectTCP). In-process engines are
-// not touched. The session must not be used afterwards.
+// Close releases every connection the session holds: the muxes to
+// remote providers attached with Connect/ConnectTCP and the in-process
+// pipes to engines added with AddEngine/Open. The engines themselves are
+// not closed. The session must not be used afterwards.
 func (s *Session) Close() {
 	for _, tr := range s.transports {
 		if c, ok := tr.(interface{ Close() }); ok {
