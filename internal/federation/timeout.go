@@ -35,6 +35,10 @@ type DialOpts struct {
 	Trace wire.TraceCtx
 }
 
+// defaultRequestTimeout is the request budget of a zero RequestTimeout
+// (a variable so tests can shorten it).
+var defaultRequestTimeout = server.DefaultRequestTimeout
+
 func (o DialOpts) withDefaults() DialOpts {
 	if o.ConnectTimeout <= 0 {
 		o.ConnectTimeout = server.DefaultConnectTimeout
@@ -43,7 +47,7 @@ func (o DialOpts) withDefaults() DialOpts {
 		o.HandshakeTimeout = o.ConnectTimeout
 	}
 	if o.RequestTimeout == 0 {
-		o.RequestTimeout = server.DefaultRequestTimeout
+		o.RequestTimeout = defaultRequestTimeout
 	}
 	if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0

@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+	"weak"
 
 	"nexus/internal/engines/exec"
 	"nexus/internal/provider"
@@ -62,8 +65,12 @@ func (e *TimeoutError) Timeout() bool { return true }
 // Is makes errors.Is(err, ErrTimeout) match.
 func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
-// IsTimeout reports whether err is a deadline/timeout failure.
+// IsTimeout reports whether err is a deadline/timeout failure: a
+// *TimeoutError, a net.Error timeout, or context.DeadlineExceeded.
 func IsTimeout(err error) bool {
+	if errors.Is(err, ErrTimeout) {
+		return true
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return true
@@ -71,13 +78,18 @@ func IsTimeout(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded)
 }
 
-// pipeHosts maps each in-process address to the provider it serves.
-var (
-	pipeHosts sync.Map // address → pipeHost
-	pipeSeq   atomic.Uint64
-)
+// pipeScheme prefixes every in-process address.
+const pipeScheme = "pipe:"
 
-type pipeHost struct {
+// pipeHosts maps each in-process address to its host. It holds hosts
+// weakly, so a provider whose transport was dropped without Close is
+// not pinned for the life of the process.
+var pipeHosts sync.Map // address → weak.Pointer[PipeHost]
+
+// PipeHost is a provider served at an in-process address. The address
+// resolves while its PipeHost is reachable and not closed.
+type PipeHost struct {
+	Addr  string
 	prov  provider.Provider
 	cache *exec.ExprCache
 }
@@ -85,23 +97,36 @@ type pipeHost struct {
 // HostPipe makes prov reachable at a fresh in-process address: DialPeer
 // on it opens a pipe served like an accepted TCP connection, and every
 // such connection shares one compiled-expression cache, as a TCP
-// server's connections do. release withdraws the address; connections
-// already open keep running.
-func HostPipe(prov provider.Provider) (addr string, release func()) {
-	addr = fmt.Sprintf("pipe:%d/%s", pipeSeq.Add(1), prov.Name())
-	pipeHosts.Store(addr, pipeHost{prov: prov, cache: exec.NewExprCache()})
-	return addr, func() { pipeHosts.Delete(addr) }
+// server's connections do. The address carries a random token, so a
+// network client naming a peer in an ExecuteTo cannot guess its way
+// into an in-process provider.
+func HostPipe(prov provider.Provider) *PipeHost {
+	var tok [8]byte
+	_, _ = rand.Read(tok[:])
+	h := &PipeHost{Addr: fmt.Sprintf("%s%x/%s", pipeScheme, tok, prov.Name()), prov: prov, cache: exec.NewExprCache()}
+	pipeHosts.Store(h.Addr, weak.Make(h))
+	runtime.AddCleanup(h, func(addr string) { pipeHosts.Delete(addr) }, h.Addr)
+	return h
 }
+
+// Close withdraws the address; connections already open keep running.
+func (h *PipeHost) Close() { pipeHosts.Delete(h.Addr) }
 
 // DialPeer connects to the server at addr. An in-process address
 // (HostPipe) gets a pipe into that provider's server; any other address
 // is dialed over TCP within timeout, and running out of it is a
 // *TimeoutError.
 func DialPeer(ctx context.Context, addr string, timeout time.Duration) (net.Conn, error) {
-	if h, ok := pipeHosts.Load(addr); ok {
-		cli, srv := net.Pipe()
-		go func() { _ = ServeConnCached(h.(pipeHost).prov, srv, h.(pipeHost).cache) }()
-		return cli, nil
+	if strings.HasPrefix(addr, pipeScheme) {
+		if wp, ok := pipeHosts.Load(addr); ok {
+			if h := wp.(weak.Pointer[PipeHost]).Value(); h != nil {
+				prov, cache := h.prov, h.cache // the connection must not pin h
+				cli, srv := net.Pipe()
+				go func() { _ = ServeConnCached(prov, srv, cache) }()
+				return cli, nil
+			}
+		}
+		return nil, fmt.Errorf("server: no in-process server at %s", addr)
 	}
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)

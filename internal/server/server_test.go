@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,42 @@ func TestExecuteToSilentPeerTimesOut(t *testing.T) {
 	id, msg, _ := wire.DecodeError(payload)
 	if typ != wire.MsgError || id != 7 || !strings.Contains(msg, peer) || !strings.Contains(msg, "timed out") {
 		t.Fatalf("reply %v id %d %q, want an error for call 7 naming %s and the timeout", typ, id, msg, peer)
+	}
+}
+
+// In-process addresses carry a random token: a network client that
+// names a guessed pipe address in an ExecuteTo cannot push into an
+// in-process provider, and a withdrawn address resolves to nothing.
+func TestPipeAddressIsUnguessable(t *testing.T) {
+	victim := relational.New("victim")
+	a, b := HostPipe(victim), HostPipe(victim)
+	defer a.Close()
+	if a.Addr == b.Addr || !regexp.MustCompile(`^pipe:[0-9a-f]{16}/victim$`).MatchString(a.Addr) {
+		t.Fatalf("in-process addresses %q and %q, want distinct random tokens", a.Addr, b.Addr)
+	}
+	b.Close()
+	if conn, err := DialPeer(context.Background(), b.Addr, time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("withdrawn address %s still resolves", b.Addr)
+	}
+
+	s, _ := startServer(t)
+	conn := dial(t, s.Addr())
+	scan, err := core.NewScan("sales", datagen.SalesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, guess := range []string{"pipe:1/victim", "pipe:2/victim"} {
+		if _, err := wire.WriteFrame(conn, wire.MsgExecuteTo, wire.EncodeExecuteTo(uint64(i+1), guess, "x", scan, wire.TraceCtx{})); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if typ, _, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
+			t.Fatalf("ExecuteTo %s: reply %v, %v; want an error frame", guess, typ, err)
+		}
+	}
+	if _, ok := victim.Dataset("x"); ok {
+		t.Fatal("a network client pushed a dataset into an in-process provider")
 	}
 }
 
