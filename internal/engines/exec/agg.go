@@ -62,43 +62,23 @@ func (a *Accumulator) Add(v value.Value) {
 	}
 }
 
-// AddN folds the same value n times — exactly equivalent to n sequential
-// Add calls. Run-length encoded inputs fold whole runs through it in
-// O(1) per run: count(*)-style counts and integer sums collapse to one
-// multiply, min/max and count-distinct to a single Add. Float sums are
-// the exception and loop n scalar additions: float addition is not
-// associative, and an encoded fold must stay bit-identical to the
-// row-at-a-time path it replaces.
-func (a *Accumulator) AddN(v value.Value, n int) {
-	if n <= 0 || v.IsNull() {
-		return
-	}
-	switch a.fn {
-	case core.AggCount:
-		a.count += int64(n)
-	case core.AggCountDistinct, core.AggMin, core.AggMax:
-		a.Add(v)
-	case core.AggSum, core.AggAvg:
-		a.count += int64(n)
-		switch v.Kind() {
-		case value.KindInt64:
-			a.sumInt += v.Int() * int64(n)
-		case value.KindFloat64:
-			a.isFloat = true
-			f := v.Float()
-			for i := 0; i < n; i++ {
-				a.sumFloat += f
-			}
-		}
-	}
+// AddInt folds one non-NULL int64 into a sum or avg: Add without the
+// boxing, for callers that read typed columns.
+func (a *Accumulator) AddInt(v int64) {
+	a.count++
+	a.sumInt += v
 }
 
-// AddRows counts n rows regardless of value — the count(*) feed, where
-// a row's existence is what is counted (groupAggregate's nil-column
-// fold does the same count++ per row).
-func (a *Accumulator) AddRows(n int) {
-	a.count += int64(n)
+// AddFloat folds one non-NULL float64 into a sum or avg.
+func (a *Accumulator) AddFloat(v float64) {
+	a.count++
+	a.isFloat = true
+	a.sumFloat += v
 }
+
+// AddRow counts one row: the count(*) feed, where a row's existence is
+// what is counted, or count(col) over a non-NULL value.
+func (a *Accumulator) AddRow() { a.count++ }
 
 // Result returns the aggregate value, coerced to the statically inferred
 // kind.
@@ -300,59 +280,30 @@ func foldColumn(as []Accumulator, gids []int32, col *table.Column, fn core.AggFu
 	if col == nil {
 		// count(*): every row counts, NULL or not.
 		for _, g := range gids {
-			as[g].count++
+			as[g].AddRow()
 		}
 		return
 	}
 	valid := col.Validity()
 	switch {
 	case fn == core.AggCount:
-		if valid == nil {
-			for _, g := range gids {
-				as[g].count++
-			}
-		} else {
-			for i, g := range gids {
-				if valid[i] {
-					as[g].count++
-				}
+		for i, g := range gids {
+			if valid == nil || valid[i] {
+				as[g].AddRow()
 			}
 		}
 	case (fn == core.AggSum || fn == core.AggAvg) && col.Kind() == value.KindInt64:
 		ints := col.Ints()
-		if valid == nil {
-			for i, g := range gids {
-				a := &as[g]
-				a.count++
-				a.sumInt += ints[i]
-			}
-		} else {
-			for i, g := range gids {
-				if valid[i] {
-					a := &as[g]
-					a.count++
-					a.sumInt += ints[i]
-				}
+		for i, g := range gids {
+			if valid == nil || valid[i] {
+				as[g].AddInt(ints[i])
 			}
 		}
 	case (fn == core.AggSum || fn == core.AggAvg) && col.Kind() == value.KindFloat64:
 		floats := col.Floats()
-		for g := range as {
-			as[g].isFloat = true
-		}
-		if valid == nil {
-			for i, g := range gids {
-				a := &as[g]
-				a.count++
-				a.sumFloat += floats[i]
-			}
-		} else {
-			for i, g := range gids {
-				if valid[i] {
-					a := &as[g]
-					a.count++
-					a.sumFloat += floats[i]
-				}
+		for i, g := range gids {
+			if valid == nil || valid[i] {
+				as[g].AddFloat(floats[i])
 			}
 		}
 	default:

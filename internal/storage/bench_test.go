@@ -14,7 +14,7 @@ import (
 // The per-page and per-scan costs of the cold read path, reproducible
 // without the repository benchmark:
 //
-//	go test -run '^$' -bench 'PageParse|ColdScan' -benchmem ./internal/storage
+//	go test -run '^$' -bench 'PageParse|ColdScan|ColdAgg' -benchmem ./internal/storage
 //
 // Pages are the size the repository benchmark's cold_selective workload
 // reads (125,000 rows).
@@ -102,13 +102,10 @@ func BenchmarkPageParseDict(b *testing.B) {
 	benchPageSteps(b, page, value.OpEq, value.NewInt(7))
 }
 
-// BenchmarkColdScanSelective is the repository benchmark's Q2 shape in
-// miniature: four segments, caches dropped before every scan, two
-// conjuncts over dictionary pages keeping ~2 % of rows, three columns
-// materialized — two of them plain fixed-width pages that stay
-// undecoded except for the survivors.
-func BenchmarkColdScanSelective(b *testing.B) {
-	const segments, segRows = 4, 50_000
+// benchSales opens an engine holding segments segments of segRows
+// random sales rows each (the repository benchmark's fact table shape,
+// unclustered), one flush per segment.
+func benchSales(b *testing.B, segments, segRows int) (*Engine, schema.Schema) {
 	sch := schema.New(
 		schema.Attribute{Name: "id", Kind: value.KindInt64},
 		schema.Attribute{Name: "cust", Kind: value.KindInt64}, // never read: the scan is projected
@@ -120,7 +117,7 @@ func BenchmarkColdScanSelective(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer eng.Close()
+	b.Cleanup(func() { eng.Close() })
 	rng := rand.New(rand.NewSource(1))
 	regions := []string{"EU", "NA", "APAC", "LATAM", "MEA", "ANZ", "CEE", "DACH", "NORD", "SSA"}
 	for s := 0; s < segments; s++ {
@@ -142,6 +139,16 @@ func BenchmarkColdScanSelective(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return eng, sch
+}
+
+// BenchmarkColdScanSelective is the repository benchmark's Q2 shape in
+// miniature: four segments, caches dropped before every scan, two
+// conjuncts over dictionary pages keeping ~2 % of rows, three columns
+// materialized — two of them plain fixed-width pages that stay
+// undecoded except for the survivors.
+func BenchmarkColdScanSelective(b *testing.B) {
+	eng, sch := benchSales(b, 4, 50_000)
 	scan, _ := core.NewScan("sales", sch)
 	filter, err := core.NewFilter(scan, expr.And(
 		expr.Eq(expr.Column("region"), expr.CStr("APAC")),
@@ -167,3 +174,74 @@ func BenchmarkColdScanSelective(b *testing.B) {
 		b.Fatal("encoded pre-filter never served a segment")
 	}
 }
+
+// BenchmarkColdAggGrouped is the repository benchmark's Q3 shape: four
+// 125k-row segments, caches dropped before every query, `qty > 6`
+// keeping ~40 % of rows, grouped by a shared-dictionary string column,
+// a float sum over a plain page, an int sum over a dictionary page and
+// count(*). The sub-benchmarks make the same call beneath 0, 64 and
+// 512 extra bytes of caller frame: a fold whose speed depends on stack
+// layout shows as a spread between them.
+func BenchmarkColdAggGrouped(b *testing.B) {
+	eng, sch := benchSales(b, 4, benchPageRows)
+	scan, _ := core.NewScan("sales", sch)
+	filter, err := core.NewFilter(scan, expr.Gt(expr.Column("qty"), expr.CInt(6)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := core.NewGroupAgg(filter, []string{"region"}, []core.AggSpec{
+		{Func: core.AggSum, Arg: expr.Column("price"), As: "revenue"},
+		{Func: core.AggSum, Arg: expr.Column("qty"), As: "units"},
+		{Func: core.AggCount, As: "n"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		eng.DropCache()
+		out, err := eng.Execute(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += out.NumRows()
+	}
+	for _, f := range []struct {
+		name  string
+		frame func(func())
+	}{{"frame=0", frame0}, {"frame=64", frame64}, {"frame=512", frame512}} {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				f.frame(run)
+			}
+		})
+	}
+	if eng.EncodedAggs() == 0 {
+		b.Fatal("encoded aggregate kernel never served the query")
+	}
+}
+
+// frame0, frame64 and frame512 call f beneath that many extra bytes of
+// their own stack frame.
+//
+//go:noinline
+func frame0(f func()) { f() }
+
+//go:noinline
+func frame64(f func()) {
+	var pad [64]byte
+	keepFrame(pad[:])
+	f()
+}
+
+//go:noinline
+func frame512(f func()) {
+	var pad [512]byte
+	keepFrame(pad[:])
+	f()
+}
+
+// keepFrame keeps a padding array live on its caller's stack.
+//
+//go:noinline
+func keepFrame(pad []byte) { benchSink += len(pad) }

@@ -169,13 +169,16 @@ func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, e
 // code returns row r's dictionary code (dict and shared-dict pages).
 func (ec *EncodedColumn) code(r int) uint32 { return binary.BigEndian.Uint32(ec.raw[4*r:]) }
 
-// plainValue boxes row r of a plain page or wrapped column.
-func (ec *EncodedColumn) plainValue(r int) value.Value {
+// rowValue boxes row r of a plain or dictionary page, or of a wrapped
+// column.
+func (ec *EncodedColumn) rowValue(r int) value.Value {
 	switch {
 	case ec.col != nil:
 		return ec.col.Value(r)
 	case ec.valid != nil && !ec.valid[r]:
 		return value.Null
+	case ec.dict != nil:
+		return ec.dict.Value(int(ec.code(r)))
 	case ec.kind == value.KindInt64:
 		return value.NewInt(int64(binary.BigEndian.Uint64(ec.raw[8*r:])))
 	}
@@ -327,7 +330,7 @@ func (ec *EncodedColumn) andPlain(op value.BinOp, val value.Value, first int, ac
 		}
 	default:
 		for r := range acc {
-			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.plainValue(first+r), val)) {
+			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.rowValue(first+r), val)) {
 				acc[r] = false
 			}
 		}

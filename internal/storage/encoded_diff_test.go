@@ -576,6 +576,144 @@ func TestEncodedAggDifferential(t *testing.T) {
 	}
 }
 
+// TestEncodedAggDifferentialRemap holds the encoded fold's per-part
+// grouping byte-identical to the in-memory engine on data built to
+// break it: an int64 key under per-page dictionary codes that differ
+// between segments (each segment meets the keys in another order), a
+// key that survives the filter first in a later segment and one that
+// exists only in the unflushed tail, a key on RLE pages whose values
+// recur across runs, float sums over a plain page with NULLs and over
+// RLE runs with NULL runs, and an int64 sum over a dictionary page.
+func TestEncodedAggDifferentialRemap(t *testing.T) {
+	sch := schema.New(
+		schema.Attribute{Name: "k", Kind: value.KindInt64},   // dict, codes differ per segment
+		schema.Attribute{Name: "f", Kind: value.KindInt64},   // filter column: plain
+		schema.Attribute{Name: "x", Kind: value.KindFloat64}, // plain floats with NULLs
+		schema.Attribute{Name: "r", Kind: value.KindFloat64}, // RLE floats with NULL runs
+		schema.Attribute{Name: "q", Kind: value.KindInt64},   // dict ints with NULLs
+		schema.Attribute{Name: "b", Kind: value.KindInt64},   // RLE, values recur across runs
+	)
+	wantEnc := []uint8{PageEncDict, PageEncPlain, PageEncPlain, PageEncRLE, PageEncDict, PageEncRLE}
+	eng, err := OpenEngine("disk", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(29))
+	gen := func(seg, rows int, keys []int64) *table.Table {
+		b := table.NewBuilder(sch, rows)
+		rv := value.Value(value.Null)
+		for i := 0; i < rows; i++ {
+			k := keys[rng.Intn(len(keys))]
+			if i < len(keys) {
+				k = keys[i] // first occurrences in this segment's order
+			}
+			f := int64(rng.Intn(900))
+			if seg == 0 && k == 7 {
+				f = 900 + int64(rng.Intn(100)) // key 7 never passes `f < 900` in segment 0
+			}
+			x, q := value.Value(value.Null), value.Value(value.Null)
+			if rng.Intn(6) != 0 {
+				x = value.NewFloat(rng.Float64() * 100)
+			}
+			if rng.Intn(6) != 0 {
+				q = value.NewInt(int64(1 + rng.Intn(10)))
+			}
+			if i%20 == 0 {
+				rv = value.Null
+				if rng.Intn(4) != 0 {
+					rv = value.NewFloat(rng.Float64() * 10)
+				}
+			}
+			b.MustAppend(value.NewInt(k), value.NewInt(f), x, rv, q, value.NewInt(int64(i/25%3)))
+		}
+		return b.Build()
+	}
+	segKeys := [][]int64{{3, 1, 2, 7}, {2, 7, 3, 1}, {7, 1, 2, 3}, {1, 3, 2}}
+	var parts []*table.Table
+	for s, keys := range segKeys {
+		p := gen(s, 400, keys)
+		for c, want := range wantEnc {
+			if got := choosePageEncoding(p.Col(c)); got != want {
+				t.Fatalf("segment %d column %q encodes as %s, the test needs %s", s, sch.At(c).Name, encodingName(got), encodingName(want))
+			}
+		}
+		parts = append(parts, p)
+	}
+	parts = append(parts, gen(len(segKeys), 50, []int64{8, 1, 8}))
+	for i, p := range parts {
+		if err := eng.Append("d", p); err != nil {
+			t.Fatal(err)
+		}
+		if i < len(segKeys) {
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	whole, err := parts[0].Concat(parts[1:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := relational.New("mem")
+	if err := mem.Store("d", whole); err != nil {
+		t.Fatal(err)
+	}
+
+	aggs := []core.AggSpec{
+		{Func: core.AggCount, As: "n"},
+		{Func: core.AggSum, Arg: expr.Column("x"), As: "sx"},
+		{Func: core.AggAvg, Arg: expr.Column("x"), As: "ax"},
+		{Func: core.AggSum, Arg: expr.Column("r"), As: "sr"},
+		{Func: core.AggAvg, Arg: expr.Column("r"), As: "ar"},
+		{Func: core.AggSum, Arg: expr.Column("q"), As: "sq"},
+		{Func: core.AggAvg, Arg: expr.Column("q"), As: "aq"},
+		{Func: core.AggCount, Arg: expr.Column("x"), As: "nx"},
+		{Func: core.AggCount, Arg: expr.Column("r"), As: "nr"},
+		{Func: core.AggMin, Arg: expr.Column("r"), As: "lo"},
+		{Func: core.AggMax, Arg: expr.Column("q"), As: "hi"},
+	}
+	filters := []expr.Expr{
+		nil,
+		expr.Lt(expr.Column("f"), expr.CInt(900)),
+		expr.And(expr.Lt(expr.Column("f"), expr.CInt(900)), expr.Gt(expr.Column("q"), expr.CInt(3))),
+		expr.Gt(expr.Column("r"), expr.CFloat(4)),
+	}
+	for _, keys := range [][]string{nil, {"k"}, {"b"}, {"q"}, {"x"}} {
+		for fi, pred := range filters {
+			mkPlan := func() core.Node {
+				var n core.Node
+				n, _ = core.NewScan("d", sch)
+				if pred != nil {
+					if n, err = core.NewFilter(n, pred); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n, err = core.NewGroupAgg(n, keys, aggs); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			want, err := mem.Execute(mkPlan())
+			if err != nil {
+				t.Fatalf("keys %v filter %d: mem: %v", keys, fi, err)
+			}
+			eng.DropCache()
+			served := eng.EncodedAggs()
+			got, err := eng.Execute(mkPlan())
+			if err != nil {
+				t.Fatalf("keys %v filter %d: disk: %v", keys, fi, err)
+			}
+			if eng.EncodedAggs() == served {
+				t.Fatalf("keys %v filter %d: the encoded kernel did not serve the plan", keys, fi)
+			}
+			if !bytes.Equal(wire.EncodeTable(want), wire.EncodeTable(got)) {
+				t.Fatalf("keys %v filter %d: cold aggregate differs from memory oracle\nwant %v\ngot  %v", keys, fi, want, got)
+			}
+		}
+	}
+}
+
 // TestParallelReadMatchesSingleWorker runs the engine's three read
 // paths — filtered scan (accessTable), grouped aggregate (aggTable) and
 // whole-dataset load — with one worker and with several, and requires

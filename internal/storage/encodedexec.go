@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"nexus/internal/core"
@@ -24,12 +26,16 @@ import (
 //     stack over the result; the pre-filter only drops rows that stack
 //     would drop anyway.
 //
-//   - The grouped-aggregate kernel (encAggState): a GroupAgg whose
-//     filters are an exact conjunction and whose arguments are plain
-//     columns folds directly over pages — group ids resolved once per
-//     RLE run or dictionary code, whole runs folded through
-//     Accumulator.AddN. Nothing re-runs downstream here, so the shape
-//     gate (planner.AnalyzeAggAccess) is strict, and every fold mirrors
+//   - The grouped-aggregate kernel (encPart, encAggState): a GroupAgg
+//     whose filters are an exact conjunction and whose arguments are
+//     plain columns folds directly over pages. Each segment's survivors
+//     get part-local group ids on the work group — one per RLE run or
+//     dictionary code, one per distinct value on plain pages — which the
+//     caller maps to global groups by value; sums, averages and counts
+//     then add each survivor unboxed, read in place from the payload
+//     bytes, a dictionary's typed entries or a run's value. Nothing
+//     re-runs downstream here, so the shape gate
+//     (planner.AnalyzeAggAccess) is strict, and every fold mirrors
 //     exec's groupAggregate exactly: same group order (first
 //     occurrence in dataset row order), same accumulator arithmetic
 //     (float sums stay sequential), same NULL handling. The
@@ -120,11 +126,11 @@ func (e *Engine) encodedAgg(n core.Node) (*table.Table, bool, error) {
 // consistent snapshot of the dataset: manifest segments in order (zone
 // pruning applies — the conjunction is exact, so an excluded segment
 // contributes no rows), then the unflushed tail. Reading, verifying,
-// parsing and filtering a segment is independent of every other, so
-// the surviving segments go through that side by side on one work
-// group; the fold into groups then runs over them in manifest order on
-// the caller, which keeps group order and float sums exactly those of
-// a sequential scan.
+// parsing, filtering and local grouping of a segment is independent of
+// every other, so the surviving segments go through that side by side
+// on one work group; the fold into groups then runs over them in
+// manifest order on the caller, which keeps group order and float sums
+// exactly those of a sequential scan.
 func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*table.Table, bool, error) {
 	name := agg.Scan.Dataset
 	var out *table.Table
@@ -154,12 +160,12 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 		}
 
 		live, skipped := pruneSegments(sch, refs, agg.Preds)
-		segs := make([]*EncodedSegment, len(live))
-		matches := make([][]bool, len(live))
+		segParts := make([]*encPart, len(live))
 		g := newWorkGroup()
-		err := g.forEach(len(live), func(i int) (err error) {
-			if segs[i], err = e.st.read(g, name, live[i], positions); err == nil && segs[i].Meta.Rows > 0 {
-				matches[i], err = encodedMatches(g, proj, segs[i].Cols, agg.Preds, nil)
+		err := g.forEach(len(live), func(i int) error {
+			es, err := e.st.read(g, name, live[i], positions)
+			if err == nil && es.Meta.Rows > 0 {
+				segParts[i], err = newEncPart(g, proj, es.Cols, agg.Preds, keyIdx)
 			}
 			return err
 		})
@@ -168,19 +174,18 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 		}
 		e.countSegments(len(live), skipped)
 		st := newEncAggState(agg.Aggs, keyIdx >= 0)
-		for i, es := range segs {
-			st.addPart(es.Cols, matches[i], keyIdx, argIdx)
+		for _, p := range segParts {
+			st.add(p, argIdx)
 		}
 		for _, p := range parts {
 			if p.NumRows() == 0 {
 				continue
 			}
-			ecols := wrapTable(p.Project(positions), SegmentMeta{}).Cols
-			match, err := encodedMatches(g, proj, ecols, agg.Preds, nil)
+			ep, err := newEncPart(g, proj, wrapTable(p.Project(positions), SegmentMeta{}).Cols, agg.Preds, keyIdx)
 			if err != nil {
 				return err
 			}
-			st.addPart(ecols, match, keyIdx, argIdx)
+			st.add(ep, argIdx)
 		}
 		out, err = st.build(outSchema, len(agg.Keys))
 		return err
@@ -196,189 +201,266 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 	return out, true, nil
 }
 
+// encPart is one part (segment or tail chunk) filtered and grouped,
+// ready to fold: sel lists the rows that pass every conjunct,
+// ascending; gids[i] is survivor i's group id — part-local until
+// encAggState.add maps it to the global one; keys holds each local id's
+// key value, local ids numbered in order of first surviving occurrence.
+type encPart struct {
+	cols      []*EncodedColumn
+	sel, gids []int32
+	keys      []value.Value
+}
+
+// newEncPart filters one part and gives each survivor a part-local
+// group id: one per RLE run and per dictionary code (NULL is one more
+// code) that has a survivor, one per distinct value on plain pages. One
+// key value may hold several local ids — the same value in two runs —
+// which the remap by value merges.
+func newEncPart(g *workGroup, sch schema.Schema, cols []*EncodedColumn, preds []planner.ScanPred, keyIdx int) (*encPart, error) {
+	match, err := encodedMatches(g, sch, cols, preds, nil)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, m := range match {
+		n += b2i(m)
+	}
+	// Which rows survive is rarely predictable: write every row and
+	// advance past survivors only, so there is no branch to mispredict.
+	sel := make([]int32, n+1)
+	n = 0
+	for r, m := range match {
+		sel[n] = int32(r)
+		n += b2i(m)
+	}
+	p := &encPart{cols: cols, sel: sel[:n], gids: make([]int32, n)}
+	if keyIdx < 0 {
+		p.keys = []value.Value{value.Null} // the global aggregate's one group
+		return p, nil
+	}
+	key := cols[keyIdx]
+	switch key.enc {
+	case PageEncRLE:
+		eachRun(key, p.sel, func(v value.Value, i, j int) {
+			for x := i; x < j; x++ {
+				p.gids[x] = int32(len(p.keys))
+			}
+			p.keys = append(p.keys, v)
+		})
+	case PageEncDict, PageEncDictShared:
+		null := key.dict.Len()
+		local := make([]int32, null+1) // per code, then NULL: local id + 1, 0 = none yet
+		for i, r := range p.sel {
+			c := null
+			if key.valid == nil || key.valid[r] {
+				c = int(key.code(int(r)))
+			}
+			if local[c] == 0 {
+				p.keys = append(p.keys, key.rowValue(int(r)))
+				local[c] = int32(len(p.keys))
+			}
+			p.gids[i] = local[c] - 1
+		}
+	default:
+		t := keyTable{ids: map[string]int32{}}
+		for i, r := range p.sel {
+			p.gids[i] = t.id(key.rowValue(int(r)))
+		}
+		p.keys = t.keys
+	}
+	return p, nil
+}
+
+// eachRun walks an RLE page's runs alongside a selection and calls f
+// with every run's value and the span sel[i:j] of survivors inside it,
+// for runs that have any.
+func eachRun(col *EncodedColumn, sel []int32, f func(v value.Value, i, j int)) {
+	i, end := 0, 0
+	for k, n := range col.runLens {
+		end += n
+		j := i
+		for j < len(sel) && int(sel[j]) < end {
+			j++
+		}
+		if j > i {
+			f(col.runVals[k], i, j)
+		}
+		i = j
+	}
+}
+
+// keyTable interns key values to dense ids in first-seen order. Two
+// values are one key when their canonical encodings are equal — the
+// equivalence groupAggregate's general case groups by.
+type keyTable struct {
+	ids  map[string]int32
+	keys []value.Value // first-seen value per id
+	buf  []byte        // AppendKey scratch
+}
+
+func (t *keyTable) id(v value.Value) int32 {
+	t.buf = value.AppendKey(t.buf[:0], v)
+	id, ok := t.ids[string(t.buf)]
+	if !ok {
+		id = int32(len(t.keys))
+		t.ids[string(t.buf)] = id
+		t.keys = append(t.keys, v)
+	}
+	return id
+}
+
 // encAggState accumulates groups across parts. Group ids are dense,
 // assigned at first occurrence in dataset row order — exactly the order
 // exec's groupAggregate assigns them over the concatenated table, so
 // output rows land in the same order.
 type encAggState struct {
-	aggs []core.AggSpec
-	gids map[string]int32      // canonical key encoding -> group id
-	keys []value.Value         // first-occurrence key value per group
-	accs [][]*exec.Accumulator // per group, per aggregate
-	buf  []byte                // AppendKey scratch
+	aggs   []core.AggSpec
+	groups keyTable             // global groups
+	accs   [][]exec.Accumulator // per aggregate, per group
 }
 
 func newEncAggState(aggs []core.AggSpec, hasKey bool) *encAggState {
-	st := &encAggState{aggs: aggs, gids: map[string]int32{}}
+	st := &encAggState{aggs: aggs, groups: keyTable{ids: map[string]int32{}}, accs: make([][]exec.Accumulator, len(aggs))}
 	if !hasKey {
 		// Global aggregate: exactly one group, present even over an
 		// empty input (SQL's one-row global aggregate).
-		st.addGroup(value.Null)
+		st.group(value.Null)
 	}
 	return st
 }
 
-func (st *encAggState) addGroup(key value.Value) int32 {
-	g := int32(len(st.keys))
-	st.keys = append(st.keys, key)
-	row := make([]*exec.Accumulator, len(st.aggs))
-	for i, a := range st.aggs {
-		row[i] = exec.NewAccumulator(a.Func)
-	}
-	st.accs = append(st.accs, row)
-	return g
-}
-
 // group resolves a key value to its dense group id, creating the group
-// on first occurrence. Grouping equivalence is the canonical key
-// encoding — the same equivalence groupAggregate's general case uses.
+// and its accumulators on first occurrence.
 func (st *encAggState) group(key value.Value) int32 {
-	st.buf = value.AppendKey(st.buf[:0], key)
-	g, ok := st.gids[string(st.buf)]
-	if !ok {
-		g = st.addGroup(key)
-		st.gids[string(st.buf)] = g
+	n := len(st.groups.keys)
+	g := st.groups.id(key)
+	if len(st.groups.keys) > n {
+		for j, a := range st.aggs {
+			st.accs[j] = append(st.accs[j], *exec.NewAccumulator(a.Func))
+		}
 	}
 	return g
 }
 
-// addPart folds one part (segment or tail chunk), already filtered to
-// match (nil for a part without rows), into the running groups: assign
-// group ids at run/code granularity, fold each aggregate column.
-func (st *encAggState) addPart(cols []*EncodedColumn, match []bool, keyIdx int, argIdx []int) {
-	// Per-row group ids; -1 marks rows the filter removed.
-	gids := make([]int32, len(match))
-	if keyIdx < 0 {
-		for r, m := range match {
-			if !m {
-				gids[r] = -1
-			}
-		}
-	} else {
-		st.assignGids(cols[keyIdx], match, gids)
+// add folds one part (nil for a segment without rows): its local keys
+// map to global groups, one group call per local key, in local order —
+// so groups are created in first-occurrence order — then each
+// aggregate folds in one pass over the selection.
+func (st *encAggState) add(p *encPart, argIdx []int) {
+	if p == nil {
+		return
+	}
+	remap := make([]int32, len(p.keys))
+	for l, k := range p.keys {
+		remap[l] = st.group(k)
+	}
+	for i, l := range p.gids {
+		p.gids[i] = remap[l]
 	}
 	for j, ai := range argIdx {
+		as := st.accs[j]
 		if ai < 0 {
 			// count(*): every surviving row counts, NULL or not.
-			for _, g := range gids {
-				if g >= 0 {
-					st.accs[g][j].AddRows(1)
-				}
+			for _, g := range p.gids {
+				as[g].AddRow()
 			}
 			continue
 		}
-		st.fold(cols[ai], gids, j)
+		foldArg(as, st.aggs[j].Func, p.cols[ai], p.sel, p.gids)
 	}
 }
 
-// assignGids computes each surviving row's group id from the key
-// column: one key resolution per RLE run, one per dictionary code, one
-// per row on plain pages. Resolution happens at the first *surviving*
-// occurrence, so group creation order matches the filtered row order
-// the generic path sees.
-func (st *encAggState) assignGids(key *EncodedColumn, match []bool, gids []int32) {
-	const unresolved = int32(-2)
-	switch key.Encoding() {
-	case PageEncRLE:
-		at := 0
-		for i, n := range key.runLens {
-			g := unresolved
-			for r := at; r < at+n; r++ {
-				if !match[r] {
-					gids[r] = -1
-					continue
-				}
-				if g == unresolved {
-					g = st.group(key.runVals[i])
-				}
-				gids[r] = g
+// foldArg folds one aggregate's argument column over a part's survivors
+// into their groups' accumulators. Sums, averages and counts add
+// unboxed — from an RLE run's value, a dictionary's typed entry table
+// or a plain page's payload bytes — and read validity only where the
+// page has a bitmap; min, max and count-distinct go through the boxed
+// Add, which carries their comparison and dedup logic. Each group sees
+// its values in dataset row order, so float sums stay bit-identical to
+// a sequential fold.
+func foldArg(as []exec.Accumulator, fn core.AggFunc, col *EncodedColumn, sel, gids []int32) {
+	if col.enc == PageEncRLE {
+		eachRun(col, sel, func(v value.Value, i, j int) { addRun(as, fn, gids[i:j], v) })
+		return
+	}
+	valid, floats := col.valid, col.kind == value.KindFloat64
+	vals := col.dict // entries, indexed by the codes in raw
+	if col.col != nil {
+		vals, valid = col.col, col.col.Validity() // a wrapped column: raw is nil, rows index it
+	}
+	switch {
+	case fn == core.AggCount:
+		for i, r := range sel {
+			if valid == nil || valid[r] {
+				as[gids[i]].AddRow()
 			}
-			at += n
 		}
-	case PageEncDict, PageEncDictShared:
-		codeGid := make([]int32, key.dict.Len())
-		for i := range codeGid {
-			codeGid[i] = unresolved
+	case (fn != core.AggSum && fn != core.AggAvg) || !col.kind.Numeric():
+		for i, r := range sel {
+			as[gids[i]].Add(col.rowValue(int(r)))
 		}
-		nullGid := unresolved
-		for r := range gids {
-			if !match[r] {
-				gids[r] = -1
-				continue
-			}
-			if key.valid != nil && !key.valid[r] {
-				if nullGid == unresolved {
-					nullGid = st.group(value.Null)
-				}
-				gids[r] = nullGid
-				continue
-			}
-			c := key.code(r)
-			if codeGid[c] == unresolved {
-				codeGid[c] = st.group(key.dict.Value(int(c)))
-			}
-			gids[r] = codeGid[c]
-		}
+	case vals != nil && floats:
+		foldNums(as, vals.Floats(), col.raw, valid, sel, gids)
+	case vals != nil:
+		foldNums(as, vals.Ints(), col.raw, valid, sel, gids)
 	default:
-		for r := range gids {
-			if !match[r] {
-				gids[r] = -1
+		for i, r := range sel {
+			if valid != nil && !valid[r] {
 				continue
 			}
-			gids[r] = st.group(key.plainValue(r))
+			bits := binary.BigEndian.Uint64(col.raw[8*r:])
+			if floats {
+				as[gids[i]].AddFloat(math.Float64frombits(bits))
+			} else {
+				as[gids[i]].AddInt(int64(bits))
+			}
 		}
 	}
 }
 
-// fold accumulates one aggregate's argument column. RLE runs fold
-// through AddN (one call per consecutive same-group stretch — for float
-// sums AddN itself loops, keeping the arithmetic order identical to
-// row-at-a-time). Dictionary pages box each distinct entry once.
-func (st *encAggState) fold(col *EncodedColumn, gids []int32, j int) {
-	switch col.Encoding() {
-	case PageEncRLE:
-		at := 0
-		for i, n := range col.runLens {
-			v := col.runVals[i]
-			end := at + n
-			for r := at; r < end; {
-				g := gids[r]
-				if g < 0 {
-					r++
-					continue
-				}
-				stretch := r + 1
-				for stretch < end && gids[stretch] == g {
-					stretch++
-				}
-				st.accs[g][j].AddN(v, stretch-r)
-				r = stretch
-			}
-			at = end
+// addRun folds one RLE run's value v once for each of its survivors,
+// into the groups gids.
+func addRun(as []exec.Accumulator, fn core.AggFunc, gids []int32, v value.Value) {
+	sum := fn == core.AggSum || fn == core.AggAvg
+	switch {
+	case v.IsNull():
+	case fn == core.AggCount:
+		for _, g := range gids {
+			as[g].AddRow()
 		}
-	case PageEncDict, PageEncDictShared:
-		var entries []value.Value // boxed lazily, once per distinct entry
-		for r, g := range gids {
-			if g < 0 {
-				continue
-			}
-			if col.valid != nil && !col.valid[r] {
-				continue // NULL: Add would ignore it anyway
-			}
-			if entries == nil {
-				entries = make([]value.Value, col.dict.Len())
-				for c := range entries {
-					entries[c] = col.dict.Value(c)
-				}
-			}
-			st.accs[g][j].Add(entries[col.code(r)])
+	case sum && v.Kind() == value.KindInt64:
+		for _, g := range gids {
+			as[g].AddInt(v.Int())
+		}
+	case sum && v.Kind() == value.KindFloat64:
+		for _, g := range gids {
+			as[g].AddFloat(v.Float())
 		}
 	default:
-		for r, g := range gids {
-			if g < 0 {
-				continue
-			}
-			st.accs[g][j].Add(col.plainValue(r))
+		for _, g := range gids {
+			as[g].Add(v)
+		}
+	}
+}
+
+// foldNums folds each non-NULL survivor's number into its group: row
+// r's value is vals[r], or vals[code of r] when codes is a dictionary
+// page's code array.
+func foldNums[T int64 | float64](as []exec.Accumulator, vals []T, codes []byte, valid []bool, sel, gids []int32) {
+	for i, r := range sel {
+		if valid != nil && !valid[r] {
+			continue
+		}
+		k := int(r)
+		if codes != nil {
+			k = int(binary.BigEndian.Uint32(codes[4*r:]))
+		}
+		switch x := any(vals[k]).(type) {
+		case int64:
+			as[gids[i]].AddInt(x)
+		case float64:
+			as[gids[i]].AddFloat(x)
 		}
 	}
 }
@@ -387,16 +469,16 @@ func (st *encAggState) fold(col *EncodedColumn, gids []int32, j int) {
 // first occurrence, then each aggregate's Result coerced to the output
 // schema's kind — the same construction groupAggregate performs.
 func (st *encAggState) build(outSchema schema.Schema, nKeys int) (*table.Table, error) {
-	b := table.NewBuilder(outSchema, len(st.keys))
+	b := table.NewBuilder(outSchema, len(st.groups.keys))
 	rowBuf := make([]value.Value, 0, outSchema.Len())
-	for g := range st.keys {
+	for g, key := range st.groups.keys {
 		rowBuf = rowBuf[:0]
 		if nKeys == 1 {
-			rowBuf = append(rowBuf, st.keys[g])
+			rowBuf = append(rowBuf, key)
 		}
 		for i := range st.aggs {
 			want := outSchema.At(nKeys + i).Kind
-			rowBuf = append(rowBuf, st.accs[g][i].Result(want))
+			rowBuf = append(rowBuf, st.accs[i][g].Result(want))
 		}
 		if err := b.Append(rowBuf...); err != nil {
 			return nil, fmt.Errorf("storage: encoded groupagg: %w", err)
