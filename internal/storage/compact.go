@@ -29,8 +29,9 @@ import (
 // Compaction never touches the WAL or the unflushed tails — it only
 // rewrites already-sealed segments — so it runs concurrently with
 // writes. The merge (read, sort, write the new segment) happens outside
-// the store lock; the commit re-validates that every input segment is
-// still live and aborts harmlessly if a replace or drop raced it.
+// the store lock, under the segment writer's lock it shares with
+// flushes; the commit re-validates that every input segment is still
+// live and aborts harmlessly if a replace or drop raced it.
 
 // Compaction defaults: segments smaller than DefaultCompactTargetBytes
 // are merge candidates once DefaultCompactMinSegments of them exist.
@@ -238,6 +239,11 @@ func (s *Store) compactDataset(name string, opts CompactOptions) (merged, create
 // live segment — otherwise codes from the surviving old segments would
 // dangle.
 func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts CompactOptions, rebuild bool) (merged, created int, bytesIn, bytesOut int64, err error) {
+	// One segment writer at a time: a flush encodes against the
+	// dictionaries it sealed with, so a rebuild must not swap them out
+	// from under it, and each commit builds on the generation before it.
+	s.flushmu.Lock()
+	defer s.flushmu.Unlock()
 	for _, c := range cands {
 		bytesIn += c.size
 	}
@@ -358,11 +364,11 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 		}
 	}
 
-	// Commit: under the store lock (which also serializes against Flush,
-	// whose whole body holds it), re-validate that every input segment
+	// Commit: under the store lock, re-validate that every input segment
 	// is still live, then swap in a new manifest generation. The WAL
 	// generation is untouched — compaction rewrites sealed history only,
-	// so the live log keeps replaying over the new catalog unchanged.
+	// so the live log (or a failed flush's WAL chain) keeps replaying
+	// over the new catalog unchanged.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -396,8 +402,8 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 	if rebuild {
 		// A dictionary rebuild is only sound as a whole-dataset rewrite:
 		// every live segment must be among the inputs, or the survivors'
-		// codes would reference the dictionary being thrown away. A Flush
-		// that slipped in a new segment (or grew the dictionary) since the
+		// codes would reference the dictionary being thrown away. A flush
+		// that committed a new segment (or grew the dictionary) since the
 		// snapshot aborts the rebuild; the next pass retries.
 		if len(liveSet) != len(candSet) {
 			removeOuts()

@@ -83,6 +83,23 @@ func TestCrashHelper(t *testing.T) {
 			}
 			fmt.Println("ACK", i)
 		}
+	case "bgflush":
+		st, err := Open(dir)
+		if err != nil {
+			fmt.Println("ERR", err)
+			os.Exit(1)
+		}
+		// Tiny flush threshold and no explicit flush: every flush runs in
+		// the background while the appends go on, so the SIGKILL lands
+		// between seals and commits, not only in WAL appends.
+		st.FlushBytes = 2 << 10
+		for i := int64(0); i < 100000; i++ {
+			if err := st.Append("d", rowsTable(i*10, i*10+10)); err != nil {
+				fmt.Println("ERR", err)
+				os.Exit(1)
+			}
+			fmt.Println("ACK", i)
+		}
 	default:
 		fmt.Println("ERR unknown mode", mode)
 		os.Exit(1)

@@ -123,19 +123,19 @@ func (e *Engine) encodedAgg(n core.Node) (*table.Table, bool, error) {
 }
 
 // aggTable runs the encoded grouped-aggregate kernel over one
-// consistent snapshot of the dataset: manifest segments in order (zone
-// pruning applies — the conjunction is exact, so an excluded segment
-// contributes no rows), then the unflushed tail. Reading, verifying,
-// parsing, filtering and local grouping of a segment is independent of
-// every other, so the surviving segments go through that side by side
-// on one work group; the fold into groups then runs over them in
-// manifest order on the caller, which keeps group order and float sums
-// exactly those of a sequential scan.
+// consistent snapshot of the dataset: manifest segments in order, then
+// the unflushed tail parts (zone pruning applies to both — the
+// conjunction is exact, so an excluded part contributes no rows).
+// Reading, verifying, parsing, filtering and local grouping of a
+// segment is independent of every other, so the surviving segments go
+// through that side by side on one work group; the fold into groups
+// then runs over them in manifest order on the caller, which keeps
+// group order and float sums exactly those of a sequential scan.
 func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*table.Table, bool, error) {
 	name := agg.Scan.Dataset
 	var out *table.Table
 	unservable := false
-	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
+	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []tailPart) error {
 		sch, positions, proj, ok := e.resolve(agg.ScanAccess)
 		if !ok || len(agg.Cols) == 0 {
 			unservable = true
@@ -178,10 +178,10 @@ func (e *Engine) aggTable(agg planner.AggAccess, outSchema schema.Schema) (*tabl
 			st.add(p, argIdx)
 		}
 		for _, p := range parts {
-			if p.NumRows() == 0 {
+			if p.t.NumRows() == 0 || !segMayMatch(sch, p.zones, agg.Preds) {
 				continue
 			}
-			ep, err := newEncPart(g, proj, wrapTable(p.Project(positions), SegmentMeta{}).Cols, agg.Preds, keyIdx)
+			ep, err := newEncPart(g, proj, wrapTable(p.t.Project(positions), SegmentMeta{}).Cols, agg.Preds, keyIdx)
 			if err != nil {
 				return err
 			}

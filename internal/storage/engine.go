@@ -411,10 +411,9 @@ func substituteScan(n core.Node, lit core.Node) (core.Node, error) {
 }
 
 // accessTable materializes the slice of a dataset a Filter/Project
-// stack needs: segments surviving their zone maps under acc.Preds, each
-// read with only the columns in acc.Cols (nil = all), plus the whole
-// unflushed tail projected the same way (no zone maps yet — it is small
-// by construction). The surviving segments are fetched, verified,
+// stack needs: segments and unflushed tail parts surviving their zone
+// maps under acc.Preds, each read with only the columns in acc.Cols
+// (nil = all). The surviving segments are fetched, verified,
 // parsed, filtered and materialized side by side on one work group and
 // concatenated in manifest order. Store.readSnapshot supplies the
 // consistent snapshot and the retry when a compaction swap deletes a
@@ -423,7 +422,7 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 	name := acc.Scan.Dataset
 	var out *table.Table
 	unservable := false // schema drift: let the generic path report it
-	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
+	err := e.st.readSnapshot(name, func(refs []SegmentRef, parts []tailPart) error {
 		sch, positions, outSch, ok := e.resolve(acc)
 		if !ok {
 			unservable = true
@@ -456,10 +455,14 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 		}
 		e.countSegments(len(live), skipped)
 		for _, p := range parts {
-			if positions != nil {
-				p = p.Project(positions)
+			if !segMayMatch(sch, p.zones, acc.Preds) {
+				continue
 			}
-			tables = append(tables, p)
+			t := p.t
+			if positions != nil {
+				t = t.Project(positions)
+			}
+			tables = append(tables, t)
 		}
 		out, err = concatTables(outSch, tables)
 		return err
@@ -509,7 +512,7 @@ func (e *Engine) resolve(acc planner.ScanAccess) (sch schema.Schema, positions [
 func pruneSegments(sch schema.Schema, refs []SegmentRef, preds []planner.ScanPred) (live []SegmentRef, skipped int) {
 	live = make([]SegmentRef, 0, len(refs))
 	for _, ref := range refs {
-		if segMayMatch(sch, ref, preds) {
+		if segMayMatch(sch, ref.Meta.Zones, preds) {
 			live = append(live, ref)
 		}
 	}
@@ -525,15 +528,16 @@ func (e *Engine) countSegments(scanned, skipped int) {
 	metSegPruned.Add(int64(skipped))
 }
 
-// segMayMatch tests every predicate against the segment's zone maps; a
-// single impossible conjunct excludes the whole segment.
-func segMayMatch(sch schema.Schema, ref SegmentRef, preds []planner.ScanPred) bool {
+// segMayMatch tests every predicate against a segment's or a tail
+// part's zone maps; a single impossible conjunct excludes the whole
+// part.
+func segMayMatch(sch schema.Schema, zones []ZoneMap, preds []planner.ScanPred) bool {
 	for _, p := range preds {
 		i := sch.IndexOf(p.Col)
-		if i < 0 || i >= len(ref.Meta.Zones) {
+		if i < 0 || i >= len(zones) {
 			continue // unknown column: cannot prune on it
 		}
-		if !ref.Meta.Zones[i].MayMatch(p.Op, p.Val) {
+		if !zones[i].MayMatch(p.Op, p.Val) {
 			return false
 		}
 	}

@@ -269,13 +269,15 @@ func readCurrentManifest(dir string) (*Manifest, error) {
 }
 
 // collectGarbage removes files a crash orphaned: segments no manifest
-// references, manifests older than the live one, and WALs of dead
-// generations. Called once on open, after recovery settles.
+// references, manifests older than the live one, and WALs of the
+// generations the manifest's flush retired. WAL generations from the
+// manifest's on are kept — they are the log continuing it, a chain when
+// a sealed flush has not committed. Called on open after recovery
+// settles, and after a replicated manifest is applied.
 func collectGarbage(dir string, m *Manifest) {
 	live := map[string]bool{
 		"CURRENT":              true,
 		manifestName(m.Gen):    true,
-		walName(m.WalGen):      true,
 		filepath.Base(ckptDir): true,
 	}
 	for _, ds := range m.Datasets {
@@ -290,6 +292,10 @@ func collectGarbage(dir string, m *Manifest) {
 	for _, ent := range entries {
 		name := ent.Name()
 		if live[name] || ent.IsDir() {
+			continue
+		}
+		var gen uint64
+		if n, _ := fmt.Sscanf(name, "wal-%d.log", &gen); n == 1 && gen >= m.WalGen {
 			continue
 		}
 		if strings.HasPrefix(name, "seg-") || strings.HasPrefix(name, "MANIFEST-") ||

@@ -163,6 +163,8 @@ func (s *Store) ApplyReplicatedManifest(raw []byte) error {
 	if err != nil {
 		return fmt.Errorf("storage: replicated manifest: %w", err)
 	}
+	s.flushmu.Lock()
+	defer s.flushmu.Unlock()
 	s.rotmu.Lock()
 	defer s.rotmu.Unlock()
 	s.mu.Lock()
@@ -193,7 +195,7 @@ func (s *Store) ApplyReplicatedManifest(raw []byte) error {
 	// A fresh (empty) WAL for the new generation, created before the
 	// manifest that names it — the same crash-ordering Flush uses.
 	var newWal *WAL
-	if m.WalGen != s.man.WalGen {
+	if m.WalGen != s.walGen {
 		newWal, err = CreateWAL(filepath.Join(s.dir, walName(m.WalGen)))
 		if err != nil {
 			return err
@@ -217,10 +219,14 @@ func (s *Store) ApplyReplicatedManifest(raw []byte) error {
 
 	oldMan := s.man
 	if newWal != nil {
-		oldWal := s.wal
-		s.wal = newWal
+		oldWal, oldGen := s.wal, s.walGen
+		s.wal, s.walGen = newWal, m.WalGen
 		oldWal.Close()
-		os.Remove(filepath.Join(s.dir, walName(oldMan.WalGen)))
+		for gen := oldMan.WalGen; gen <= oldGen; gen++ {
+			if gen != m.WalGen {
+				os.Remove(filepath.Join(s.dir, walName(gen)))
+			}
+		}
 	}
 	s.man = m
 	s.nextSeg = m.NextSeg

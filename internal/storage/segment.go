@@ -132,31 +132,106 @@ func SchemaHash(s schema.Schema) uint64 {
 	return h
 }
 
-// ComputeZones builds the per-column zone maps of a table.
+// ComputeZones builds the per-column zone maps of a table. Each column
+// is one typed pass over its payload slice: the bounds are exactly those
+// of folding value.Compare over the boxed rows — a NULL anywhere makes
+// Min NULL, NaN sorts below every other float, and among equal values
+// (-0 and +0, two NaNs) the first row's keeps the bound.
 func ComputeZones(t *table.Table) []ZoneMap {
 	zones := make([]ZoneMap, t.NumCols())
 	for c := range zones {
 		col := t.Col(c)
+		n, valid := col.Len(), col.Validity()
+		var lo, hi int
+		switch col.Kind() {
+		case value.KindInt64:
+			lo, hi = orderedBounds(col.Ints()[:n], valid)
+		case value.KindFloat64:
+			lo, hi = floatBounds(col.Floats()[:n], valid)
+		case value.KindString:
+			lo, hi = orderedBounds(col.Strs()[:n], valid)
+		case value.KindBool:
+			lo, hi = boolBounds(col.Bools()[:n], valid)
+		default:
+			lo, hi = -1, -1
+		}
 		z := ZoneMap{Min: value.Null, Max: value.Null}
-		for r := 0; r < col.Len(); r++ {
-			v := col.Value(r)
-			if v.IsNull() {
-				z.Nulls++
+		switch {
+		case hi < 0: // no valid row
+			z.Nulls = int64(n)
+		case valid != nil:
+			for _, ok := range valid[:n] {
+				z.Nulls += int64(b2i(!ok))
 			}
-			if r == 0 {
-				z.Min, z.Max = v, v
-				continue
-			}
-			if value.Compare(v, z.Min) < 0 {
-				z.Min = v
-			}
-			if value.Compare(v, z.Max) > 0 {
-				z.Max = v
+		}
+		if hi >= 0 {
+			z.Max = col.Value(hi)
+			if z.Nulls == 0 {
+				z.Min = col.Value(lo)
 			}
 		}
 		zones[c] = z
 	}
 	return zones
+}
+
+// orderedBounds returns the first row holding the least and the first
+// holding the greatest valid value (-1, -1 when no row is valid).
+func orderedBounds[T int64 | string](vals []T, valid []bool) (lo, hi int) {
+	lo, hi = -1, -1
+	var mn, mx T
+	for r, v := range vals {
+		switch {
+		case valid != nil && !valid[r]:
+		case lo < 0:
+			lo, hi, mn, mx = r, r, v, v
+		case v < mn:
+			lo, mn = r, v
+		case v > mx:
+			hi, mx = r, v
+		}
+	}
+	return lo, hi
+}
+
+// floatBounds is orderedBounds under value.Compare's float order: NaN
+// below every other value and equal to itself, -0 == +0.
+func floatBounds(vals []float64, valid []bool) (lo, hi int) {
+	lo, hi = -1, -1
+	var mn, mx float64
+	for r, v := range vals {
+		switch {
+		case valid != nil && !valid[r]:
+		case lo < 0:
+			lo, hi, mn, mx = r, r, v, v
+		case v != v: // NaN: only the first NaN lowers the minimum
+			if mn == mn {
+				lo, mn = r, v
+			}
+		case v < mn:
+			lo, mn = r, v
+		case v > mx || mx != mx:
+			hi, mx = r, v
+		}
+	}
+	return lo, hi
+}
+
+// boolBounds is orderedBounds for bools, false < true.
+func boolBounds(vals []bool, valid []bool) (lo, hi int) {
+	lo, hi = -1, -1
+	for r, v := range vals {
+		switch {
+		case valid != nil && !valid[r]:
+		case lo < 0:
+			lo, hi = r, r
+		case !v && vals[lo]:
+			lo = r
+		case v && !vals[hi]:
+			hi = r
+		}
+	}
+	return lo, hi
 }
 
 // putZones encodes zone maps.
@@ -212,6 +287,12 @@ type pageRef struct {
 // is 3 iff at least one shared page was emitted, so dictionary-free
 // tables keep producing plain v2 files.
 func EncodeSegmentDict(t *table.Table, dicts DictSet, grow bool) []byte {
+	return encodeSegmentZones(t, ComputeZones(t), dicts, grow)
+}
+
+// encodeSegmentZones is EncodeSegmentDict with the table's zone maps already
+// computed.
+func encodeSegmentZones(t *table.Table, zones []ZoneMap, dicts DictSet, grow bool) []byte {
 	ncols := t.NumCols()
 	pages := make([][]byte, ncols)
 	shared := false
@@ -233,7 +314,7 @@ func EncodeSegmentDict(t *table.Table, dicts DictSet, grow bool) []byte {
 	var foot wire.Encoder
 	foot.U64(SchemaHash(t.Schema()))
 	foot.I64(int64(t.NumRows()))
-	putZones(&foot, ComputeZones(t))
+	putZones(&foot, zones)
 
 	metaLen := pre.Len() + ncols*pageDirEntryLen + foot.Len()
 	pagesStart := int64(segHeaderLen + metaLen + 4)
@@ -466,15 +547,11 @@ func WriteSegmentFile(dir, name string, t *table.Table) (SegmentMeta, error) {
 // WriteSegmentFileDict is WriteSegmentFile encoding against (and, with
 // grow, extending) the dataset's shared dictionaries.
 func WriteSegmentFileDict(dir, name string, t *table.Table, dicts DictSet, grow bool) (SegmentMeta, error) {
-	data := EncodeSegmentDict(t, dicts, grow)
-	if err := atomicWriteFile(filepath.Join(dir, name), data); err != nil {
+	meta := SegmentMeta{SchemaHash: SchemaHash(t.Schema()), Rows: int64(t.NumRows()), Zones: ComputeZones(t)}
+	if err := atomicWriteFile(filepath.Join(dir, name), encodeSegmentZones(t, meta.Zones, dicts, grow)); err != nil {
 		return SegmentMeta{}, err
 	}
-	return SegmentMeta{
-		SchemaHash: SchemaHash(t.Schema()),
-		Rows:       int64(t.NumRows()),
-		Zones:      ComputeZones(t),
-	}, nil
+	return meta, nil
 }
 
 // readSegmentEncoded is the one segment reader, over any io.ReaderAt
@@ -635,7 +712,7 @@ func readRange(r io.ReaderAt, off int64, n int) ([]byte, error) {
 // fault-injection seam the chaos suite drives.
 func atomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return fmt.Errorf("storage: temp file: %w", err)
 	}

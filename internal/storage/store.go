@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +36,7 @@ type Store struct {
 	mu      sync.RWMutex
 	man     *Manifest
 	wal     *WAL
+	walGen  uint64                     // generation of the live WAL: man.WalGen, or later while a sealed flush is uncommitted
 	tails   map[string]*tail           // unflushed rows per dataset
 	encs    map[string]*EncodedSegment // segment cache, keyed by cacheKey: pages parsed but not materialized
 	nextSeg uint64                     // next segment file number (flushes and compactions share it)
@@ -56,11 +58,26 @@ type Store struct {
 	// batches into one fsync.
 	dsLocks sync.Map // dataset name -> *sync.Mutex
 
-	// rotmu excludes WAL rotation (Flush) from in-flight writes: a write
-	// holds the read side from log append through memory apply, so a
-	// record never lands in a log generation the manifest has already
-	// superseded.
+	// rotmu excludes WAL rotation (a flush's seal) from in-flight
+	// writes: a write holds the read side from log append through memory
+	// apply, so the tail parts a seal records are exactly the records of
+	// the log generations it retires.
 	rotmu sync.RWMutex
+
+	// flushmu is the segment writer's lock: it serializes flushes with
+	// each other and with compaction merges and replicated-manifest
+	// applies, so every manifest generation is built from the one before
+	// it and a dictionary rebuild never interleaves with a flush encoding
+	// against the old dictionaries. Appends and reads never take it.
+	flushmu sync.Mutex
+
+	// flushDone is closed when the running background flush ends (nil
+	// when none runs); flushErr is the last flush's failure, cleared by
+	// the next success, which Health reports while it stands. Both are
+	// guarded by mu; bg counts background flushes so Close can wait.
+	flushDone chan struct{}
+	flushErr  error
+	bg        sync.WaitGroup
 }
 
 // dsLock returns the per-dataset write lock.
@@ -76,7 +93,7 @@ func (s *Store) dsLock(name string) *sync.Mutex {
 // authoritative schema.
 type tail struct {
 	sch      schema.Schema
-	parts    []*table.Table
+	parts    []tailPart
 	replaced bool // dataset was replaced/created after the last flush: ignore manifest segments
 
 	// epochBump counts how many times the dataset's row order restarted
@@ -87,10 +104,19 @@ type tail struct {
 	epochBump uint64
 }
 
+// tailPart is one applied write's rows and their zone maps, computed
+// once when the write is applied, so scans prune tail parts exactly as
+// they prune segments.
+type tailPart struct {
+	t     *table.Table
+	zones []ZoneMap
+}
+
 // Open opens (or creates) a data directory, recovering committed state:
-// the current manifest is loaded, the live WAL replayed on top, any
-// torn WAL tail truncated, and orphaned files from interrupted flushes
-// removed.
+// the current manifest is loaded, its WAL and every consecutive later
+// generation replayed on top, in order, any torn WAL tail truncated, a
+// flush that was sealed but never committed finished, and orphaned
+// files from interrupted flushes removed.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create dir: %w", err)
@@ -105,21 +131,40 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		dir:     dir,
 		man:     man,
+		walGen:  man.WalGen,
 		tails:   map[string]*tail{},
 		encs:    map[string]*EncodedSegment{},
 		nextSeg: man.NextSeg,
 	}
-	walPath := filepath.Join(dir, walName(man.WalGen))
-	size, err := ReplayWAL(walPath, s.applyRecord)
+	// A flush seals by starting the next WAL generation and commits by
+	// naming it in the manifest; a crash in between leaves a chain of
+	// generations, which replay in order.
+	var size int64
+	for gen := man.WalGen; gen == man.WalGen || fileExists(filepath.Join(dir, walName(gen))); gen++ {
+		if size, err = ReplayWAL(filepath.Join(dir, walName(gen)), s.applyRecord); err != nil {
+			return nil, err
+		}
+		s.walGen = gen
+	}
+	s.wal, err = openWALForAppend(filepath.Join(dir, walName(s.walGen)), size)
 	if err != nil {
 		return nil, err
 	}
-	s.wal, err = openWALForAppend(walPath, size)
-	if err != nil {
-		return nil, err
+	if s.walGen != man.WalGen {
+		// Finish the interrupted flush, so recovery settles on one
+		// manifest and one WAL generation again. Should it fail, the
+		// chain stays valid state to serve and retry from, and Health
+		// reports the failure.
+		_ = s.Flush()
 	}
-	collectGarbage(dir, man)
+	collectGarbage(dir, s.man)
 	return s, nil
+}
+
+// fileExists reports whether path names an existing file.
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // Dir returns the store's directory.
@@ -128,17 +173,15 @@ func (s *Store) Dir() string { return s.dir }
 // applyRecord replays one WAL record into the in-memory tails.
 func (s *Store) applyRecord(rec WalRecord) error {
 	switch rec.Kind {
-	case walAppend:
-		s.applyAppend(rec.Dataset, rec.Table, false)
-	case walReplace:
-		s.applyAppend(rec.Dataset, rec.Table, true)
+	case walAppend, walReplace:
+		s.applyAppend(rec.Dataset, tailPart{rec.Table, ComputeZones(rec.Table)}, rec.Kind == walReplace)
 	case walDrop:
 		s.applyDrop(rec.Dataset)
 	}
 	return nil
 }
 
-func (s *Store) applyAppend(name string, t *table.Table, replace bool) {
+func (s *Store) applyAppend(name string, p tailPart, replace bool) {
 	tl := s.tails[name]
 	switch {
 	case tl == nil:
@@ -149,20 +192,24 @@ func (s *Store) applyAppend(name string, t *table.Table, replace bool) {
 		if replace && s.man.dataset(name) != nil {
 			bump = 1
 		}
-		tl = &tail{sch: t.Schema(), replaced: replace || s.man.dataset(name) == nil, epochBump: bump}
+		tl = &tail{sch: p.t.Schema(), replaced: replace || s.man.dataset(name) == nil, epochBump: bump}
 		s.tails[name] = tl
 	case replace, tl.replaced && len(tl.parts) == 0:
 		// Replace, or the first append after a drop tombstone: restart the
-		// tail and keep the manifest's segments shadowed. A replace starts
-		// a new row order; the post-drop restart already bumped at drop.
+		// tail and keep the manifest's segments shadowed. Only a replace
+		// of rows that exist starts a new row order: after a drop the
+		// restart already bumped, just as a dataset a flush dropped from
+		// the manifest restarts at its first touch — so whether a flush
+		// commits between the drop and the replace, replay reproduces the
+		// same epoch.
 		bump := tl.epochBump
-		if replace {
+		if replace && s.existsLocked(name) {
 			bump++
 		}
-		tl = &tail{sch: t.Schema(), replaced: true, epochBump: bump}
+		tl = &tail{sch: p.t.Schema(), replaced: true, epochBump: bump}
 		s.tails[name] = tl
 	}
-	tl.parts = append(tl.parts, t)
+	tl.parts = append(tl.parts, p)
 }
 
 func (s *Store) applyDrop(name string) {
@@ -194,14 +241,18 @@ func (s *Store) OrderEpoch(name string) uint64 {
 	return epoch
 }
 
-// Health reports whether the store can still accept durable writes:
-// nil when open with an unpoisoned WAL, an error otherwise.
+// Health reports whether the store can still accept durable writes and
+// move them into segments: nil when open with an unpoisoned WAL and no
+// failed flush standing, an error otherwise.
 func (s *Store) Health() error {
 	s.mu.RLock()
-	closed, wal := s.closed, s.wal
+	closed, wal, flushErr := s.closed, s.wal, s.flushErr
 	s.mu.RUnlock()
 	if closed {
 		return fmt.Errorf("storage: store is closed")
+	}
+	if flushErr != nil {
+		return fmt.Errorf("storage: flush failed, unflushed rows stay in the WAL: %w", flushErr)
 	}
 	return wal.syncError()
 }
@@ -281,7 +332,7 @@ func (s *Store) Datasets() []struct {
 		}
 		if tl := s.tails[name]; tl != nil {
 			for _, p := range tl.parts {
-				rows += int64(p.NumRows())
+				rows += int64(p.t.NumRows())
 			}
 		}
 		out = append(out, struct {
@@ -331,6 +382,8 @@ func (s *Store) write(kind uint8, name string, t *table.Table) error {
 	if t == nil {
 		return fmt.Errorf("storage: nil table for %q", name)
 	}
+	// The tail part's zone maps, computed before any lock is taken.
+	part := tailPart{t, ComputeZones(t)}
 	lock := s.dsLock(name)
 	lock.Lock()
 	s.rotmu.RLock()
@@ -366,7 +419,7 @@ func (s *Store) write(kind uint8, name string, t *table.Table) error {
 	err := wal.Append(WalRecord{Kind: kind, Dataset: name, Table: t})
 	if err == nil {
 		s.mu.Lock()
-		s.applyAppend(name, t, kind == walReplace)
+		s.applyAppend(name, part, kind == walReplace)
 		s.mu.Unlock()
 	}
 	s.rotmu.RUnlock()
@@ -374,21 +427,51 @@ func (s *Store) write(kind uint8, name string, t *table.Table) error {
 	if err != nil {
 		return err
 	}
-	s.mu.RLock()
-	needFlush := s.flushThresholdLocked()
-	s.mu.RUnlock()
-	if needFlush {
-		return s.Flush()
-	}
+	s.maybeFlush()
 	return nil
 }
 
-func (s *Store) flushThresholdLocked() bool {
+// maybeFlush starts a background flush once the live WAL reaches the
+// flush threshold, unless one is already running. Only when the live
+// WAL reaches twice the threshold while that flush is still in flight
+// does the appender wait for it — back-pressure, so a slow disk cannot
+// let the unflushed tail grow without bound.
+func (s *Store) maybeFlush() {
 	limit := s.FlushBytes
 	if limit <= 0 {
 		limit = DefaultFlushBytes
 	}
-	return s.wal.Size() >= limit
+	s.mu.RLock()
+	size, done := s.wal.Size(), s.flushDone
+	s.mu.RUnlock()
+	if size < limit {
+		return
+	}
+	if done == nil {
+		s.mu.Lock()
+		if done = s.flushDone; done == nil && !s.closed {
+			done = make(chan struct{})
+			s.flushDone = done
+			s.bg.Add(1)
+			go s.backgroundFlush(done)
+		}
+		s.mu.Unlock()
+	}
+	if size >= 2*limit && done != nil {
+		<-done
+	}
+}
+
+// backgroundFlush runs one flush off the append path. Its error is not
+// lost: flush keeps it for Health until a later flush succeeds, and the
+// sealed rows stay in the tails and the WAL for that flush to retry.
+func (s *Store) backgroundFlush(done chan struct{}) {
+	defer s.bg.Done()
+	_ = s.Flush() // kept for Health by Flush itself
+	s.mu.Lock()
+	s.flushDone = nil
+	s.mu.Unlock()
+	close(done)
 }
 
 // Drop durably removes a dataset.
@@ -421,6 +504,15 @@ func (s *Store) Drop(name string) error {
 // Segments returns the dataset's durable segment references (for
 // zone-map pruning) and its unflushed tail parts. Either may be empty.
 func (s *Store) Segments(name string) (refs []SegmentRef, tailParts []*table.Table, ok bool) {
+	refs, parts, ok := s.snapshot(name)
+	for _, p := range parts {
+		tailParts = append(tailParts, p.t)
+	}
+	return refs, tailParts, ok
+}
+
+// snapshot is Segments keeping each tail part's zone maps.
+func (s *Store) snapshot(name string) (refs []SegmentRef, parts []tailPart, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.existsLocked(name) {
@@ -428,9 +520,9 @@ func (s *Store) Segments(name string) (refs []SegmentRef, tailParts []*table.Tab
 	}
 	refs = append(refs, s.liveSegmentsLocked(name)...)
 	if tl := s.tails[name]; tl != nil {
-		tailParts = append(tailParts, tl.parts...)
+		parts = append(parts, tl.parts...)
 	}
-	return refs, tailParts, true
+	return refs, parts, true
 }
 
 // SharedDicts returns the dataset's live shared dictionaries (nil when
@@ -594,9 +686,9 @@ var errNoDataset = errors.New("storage: no such dataset")
 // (the new generation references the merged files and their dictionary
 // together) up to maxSwapRetries times. Every reader of segment files
 // goes through this, so the retry policy lives in exactly one place.
-func (s *Store) readSnapshot(name string, run func(refs []SegmentRef, parts []*table.Table) error) error {
+func (s *Store) readSnapshot(name string, run func(refs []SegmentRef, parts []tailPart) error) error {
 	for attempt := 0; ; attempt++ {
-		refs, parts, ok := s.Segments(name)
+		refs, parts, ok := s.snapshot(name)
 		if !ok {
 			return errNoDataset
 		}
@@ -625,7 +717,7 @@ func (s *Store) Dataset(name string) (*table.Table, bool, error) {
 // segments are read and materialized side by side on one work group and
 // concatenated in manifest order.
 func (s *Store) dataset(name string) (out *table.Table, segments int, err error) {
-	err = s.readSnapshot(name, func(refs []SegmentRef, parts []*table.Table) error {
+	err = s.readSnapshot(name, func(refs []SegmentRef, parts []tailPart) error {
 		sch, _ := s.Schema(name)
 		tables := make([]*table.Table, len(refs), len(refs)+len(parts))
 		g := newWorkGroup()
@@ -639,7 +731,10 @@ func (s *Store) dataset(name string) (out *table.Table, segments int, err error)
 		if err != nil {
 			return err
 		}
-		out, err = concatTables(sch, append(tables, parts...))
+		for _, p := range parts {
+			tables = append(tables, p.t)
+		}
+		out, err = concatTables(sch, tables)
 		segments = len(refs)
 		return err
 	})
@@ -657,188 +752,305 @@ func concatTables(sch schema.Schema, parts []*table.Table) (*table.Table, error)
 	return parts[0].Concat(parts[1:]...)
 }
 
-// Flush writes every unflushed tail into new segment files, commits a
-// new manifest generation referencing them, rotates the WAL, and
-// atomically swaps CURRENT. A crash anywhere in between leaves the old
-// generation authoritative (new files are garbage-collected on the
-// next open); after the swap the new generation is complete.
+// sealedTail is one dataset's tail as a flush sealed it: the tail
+// object, its first parts (the records of the retired WAL generations)
+// and the schema, tombstone flag and epoch bump they were applied under.
+type sealedTail struct {
+	name     string
+	tl       *tail
+	parts    []tailPart
+	sch      schema.Schema
+	exists   bool // false: the dataset was dropped
+	replaced bool
+	bump     uint64
+
+	seg   *SegmentRef     // the segment the parts were written to (nil: no rows)
+	cache *EncodedSegment // its segment cache entry
+	dicts DictSet         // the dataset's dictionaries after encoding them
+}
+
+// Flush makes every write acknowledged before the call durable in
+// segments, in three steps. Seal, under the store lock for an instant:
+// record each dirty tail's parts so far and start the next WAL
+// generation. Write, under no store lock: concatenate and encode each
+// sealed prefix into a new segment file. Commit, under the store lock
+// for an instant: swap in the manifest generation naming the new
+// segments and the new WAL, trim the sealed parts from the tails, and
+// delete the retired WALs. Readers see the sealed rows in the tails
+// until the commit and in the segments after it, never both. A crash
+// before the CURRENT swap leaves the old generation and the WAL chain
+// authoritative (Open replays the chain and finishes the flush); a
+// failure leaves the sealed rows in the tails and their WAL on disk for
+// the next flush, and Health reports it meanwhile. Appends that reach
+// the flush threshold run this in the background; calling it waits.
 func (s *Store) Flush() error {
+	s.flushmu.Lock()
+	defer s.flushmu.Unlock()
+	seal, retired, err := s.seal()
+	if err != nil || seal == nil {
+		return err
+	}
+	return s.finishFlush(seal, retired)
+}
+
+// finishFlush writes and commits what seal sealed (flushmu held),
+// keeping the outcome for Health.
+func (s *Store) finishFlush(seal []sealedTail, retired uint64) error {
+	start := time.Now()
+	err := s.writeSealed(seal)
+	if err == nil {
+		err = s.commit(seal, retired)
+	}
+	s.mu.Lock()
+	s.flushErr = err
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	metFlushes.Inc()
+	metFlushSeconds.ObserveSince(start)
+	return nil
+}
+
+// seal records every dirty tail's parts and makes a fresh WAL
+// generation the live log, returning the sealed tails (sorted by name;
+// nil when there is nothing to flush) and the first retired generation.
+// Writes hold rotmu's read side from log append to memory apply, so the
+// sealed parts are exactly the records of the retired generations.
+func (s *Store) seal() ([]sealedTail, uint64, error) {
+	// The retired log is closed once the locks are released; every
+	// record in it was synced before its write was acknowledged.
+	var retiredWal *WAL
+	defer func() {
+		if retiredWal != nil {
+			retiredWal.Close()
+		}
+	}()
 	s.rotmu.Lock()
 	defer s.rotmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("storage: store is closed")
+		return nil, 0, fmt.Errorf("storage: store is closed")
 	}
-	dirty := false
-	for _, tl := range s.tails {
+	seal := []sealedTail{} // non-nil: a WAL chain alone is committed too
+	for name, tl := range s.tails {
 		if len(tl.parts) > 0 || tl.replaced {
-			dirty = true
-			break
+			sch, ok := s.schemaLocked(name)
+			seal = append(seal, sealedTail{name: name, tl: tl, parts: tl.parts[:len(tl.parts):len(tl.parts)],
+				sch: sch, exists: ok, replaced: tl.replaced, bump: tl.epochBump})
 		}
 	}
-	if !dirty {
-		return nil
+	if len(seal) == 0 && s.walGen == s.man.WalGen {
+		return nil, 0, nil
 	}
-	flushStart := time.Now()
-	defer func() {
-		metFlushes.Inc()
-		metFlushSeconds.ObserveSince(flushStart)
-	}()
+	sort.Slice(seal, func(i, j int) bool { return seal[i].name < seal[j].name })
+	newWal, err := CreateWAL(filepath.Join(s.dir, walName(s.walGen+1)))
+	if err != nil {
+		s.flushErr = err
+		return nil, 0, err
+	}
+	retiredWal = s.wal
+	s.wal = newWal
+	s.walGen++
+	return seal, s.man.WalGen, nil
+}
 
-	next := &Manifest{Gen: s.man.Gen + 1, WalGen: s.man.WalGen + 1, NextSeg: s.nextSeg}
-	// Carry forward untouched datasets and surviving segments.
-	names := map[string]bool{}
-	for _, dm := range s.man.Datasets {
-		names[dm.Name] = true
-	}
-	for name := range s.tails {
-		names[name] = true
-	}
-	newSegCache := map[string]*EncodedSegment{}
-	var ordered []string
-	for _, dm := range s.man.Datasets {
-		ordered = append(ordered, dm.Name)
-	}
-	var fresh []string
-	for name := range s.tails {
-		if s.man.dataset(name) == nil {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh) // deterministic manifest order for new datasets
-	ordered = append(ordered, fresh...)
-	for _, name := range ordered {
-		if !names[name] {
-			continue
-		}
-		names[name] = false
-		sch, ok := s.schemaLocked(name)
-		if !ok {
+// writeSealed encodes each sealed prefix into a new segment file. Shared
+// dictionaries grow on a writer-private clone of the live set, which the
+// commit publishes in the same manifest generation as the segments —
+// a reader sees either neither the new codes nor the new entries, or
+// both. A tombstoned dataset (replace, drop + recreate) restarts with
+// empty dictionaries whose epochs supersede the old ones, so a stale
+// reader of the shadowed v3 files gets a loud epoch mismatch, never a
+// silent decode against the wrong value list. On failure the files
+// written so far are removed.
+func (s *Store) writeSealed(seal []sealedTail) error {
+	s.mu.RLock()
+	man := s.man
+	s.mu.RUnlock()
+	for i := range seal {
+		st := &seal[i]
+		if !st.exists {
 			continue // dropped
 		}
-		dm := DatasetManifest{Name: name, Schema: sch}
-		prev := s.man.dataset(name)
-		tl := s.tails[name]
-		if prev != nil {
-			dm.OrderEpoch = prev.OrderEpoch
-		}
-		if tl != nil {
-			dm.OrderEpoch += tl.epochBump
-		}
-		// Shared dictionaries: grow a writer-private clone of the live set
-		// while encoding the new segment, then commit the grown set in
-		// this same manifest generation — a reader either sees neither the
-		// new codes nor the new entries, or both. A tombstoned dataset
-		// (replace, drop + recreate) restarts with empty dictionaries
-		// whose epochs supersede the old ones, so a stale reader of the
-		// shadowed v3 files gets a loud epoch mismatch, never a silent
-		// decode against the wrong value list.
-		var dicts DictSet
+		prev := man.dataset(st.name)
 		switch {
-		case prev != nil && (tl == nil || !tl.replaced):
-			dicts = cloneDictSet(prev.DictSet())
-			if dicts == nil {
-				dicts = DictSet{}
+		case prev != nil && !st.replaced:
+			st.dicts = cloneDictSet(prev.DictSet())
+			if st.dicts == nil {
+				st.dicts = DictSet{}
 			}
 		case prev != nil:
-			dicts = DictSet{}
+			st.dicts = DictSet{}
 			for _, d := range prev.Dicts {
-				dicts[d.Col] = &SharedDict{Col: d.Col, Epoch: d.Epoch + 1}
+				st.dicts[d.Col] = &SharedDict{Col: d.Col, Epoch: d.Epoch + 1}
 			}
 		default:
-			dicts = DictSet{}
+			st.dicts = DictSet{}
 		}
-		dm.Segments = append(dm.Segments, s.liveSegmentsLocked(name)...)
-		if tl != nil && len(tl.parts) > 0 {
-			t, err := concatTables(sch, tl.parts)
-			if err != nil {
-				return err
-			}
-			if t.NumRows() > 0 {
-				file := segName(s.nextSeg)
-				s.nextSeg++
-				next.NextSeg = s.nextSeg
-				meta, err := WriteSegmentFileDict(s.dir, file, t, dicts, true)
-				if err != nil {
-					return err
-				}
-				dm.Segments = append(dm.Segments, SegmentRef{File: file, Meta: meta})
-				newSegCache[cacheKey(file, nil)] = wrapTable(t, meta)
+		tables := make([]*table.Table, len(st.parts))
+		for j, p := range st.parts {
+			tables[j] = p.t
+		}
+		t, err := concatTables(st.sch, tables)
+		if err == nil && t.NumRows() > 0 {
+			s.mu.Lock()
+			file := segName(s.nextSeg)
+			s.nextSeg++
+			s.mu.Unlock()
+			var meta SegmentMeta
+			if meta, err = WriteSegmentFileDict(s.dir, file, t, st.dicts, true); err == nil {
+				st.seg, st.cache = &SegmentRef{File: file, Meta: meta}, wrapTable(t, meta)
 			}
 		}
-		dm.setDicts(dicts)
-		next.Datasets = append(next.Datasets, dm)
+		if err != nil {
+			removeSegments(s.dir, seal)
+			return err
+		}
 	}
+	return nil
+}
 
-	// New WAL before the manifest that names it: an empty WAL file for a
-	// generation nobody points at is harmless garbage on crash.
-	newWal, err := CreateWAL(filepath.Join(s.dir, walName(next.WalGen)))
-	if err != nil {
-		return err
+// removeSegments deletes the segment files a failed flush wrote.
+func removeSegments(dir string, seal []sealedTail) {
+	for _, st := range seal {
+		if st.seg != nil {
+			os.Remove(filepath.Join(dir, st.seg.File))
+		}
+	}
+}
+
+// commit publishes the flushed generation: the current manifest with
+// each sealed dataset's prefix appended as its new segment (or its
+// tombstone applied), continued by the WAL generation the seal started.
+// The manifest is written under no store lock — flushmu keeps every
+// other manifest writer out — and the in-memory swap, together with
+// trimming the sealed parts from the tails, is one short critical
+// section. A tail replaced or dropped since the seal is a new object:
+// it keeps its parts and its tombstone, and only sheds the sealed epoch
+// bump the new manifest generation now carries.
+func (s *Store) commit(seal []sealedTail, retired uint64) error {
+	s.mu.RLock()
+	old := s.man
+	next := &Manifest{Gen: old.Gen + 1, WalGen: s.walGen, NextSeg: s.nextSeg}
+	s.mu.RUnlock()
+	sealed := make(map[string]*sealedTail, len(seal))
+	for i := range seal {
+		sealed[seal[i].name] = &seal[i]
+	}
+	for _, dm := range old.Datasets {
+		switch st := sealed[dm.Name]; {
+		case st == nil:
+			dm.Segments = slices.Clone(dm.Segments)
+			dm.Dicts = slices.Clone(dm.Dicts)
+			next.Datasets = append(next.Datasets, dm)
+		case st.exists:
+			next.Datasets = append(next.Datasets, st.manifest(&dm))
+		}
+	}
+	for i := range seal {
+		if st := &seal[i]; st.exists && old.dataset(st.name) == nil {
+			next.Datasets = append(next.Datasets, st.manifest(nil))
+		}
 	}
 	if err := writeManifest(s.dir, next); err != nil {
-		newWal.Close()
-		os.Remove(filepath.Join(s.dir, walName(next.WalGen)))
+		removeSegments(s.dir, seal)
 		return err
 	}
-	// The swap succeeded: the new generation is authoritative.
-	old := s.man
-	oldWal := s.wal
-	s.wal = newWal
-	s.man = next
-	s.tails = map[string]*tail{}
-	for key, es := range newSegCache {
-		s.encs[key] = es
-	}
-	oldWal.Close()
-	os.Remove(filepath.Join(s.dir, walName(next.WalGen-1)))
-	if next.Gen > 1 {
-		os.Remove(filepath.Join(s.dir, manifestName(next.Gen-1)))
-	}
-	// Segments the new generation no longer references (replace/drop
-	// tombstones just committed) are dead: delete them now instead of
-	// waiting for the next open's garbage collection, so a stale reader
-	// fails fast with not-exist and re-snapshots.
+
+	// The swap succeeded: the new generation is authoritative. Segments
+	// it no longer references (replace/drop tombstones just committed)
+	// are dead: they are deleted now rather than at the next open, so a
+	// stale reader fails fast with not-exist and re-snapshots.
 	liveFiles := map[string]bool{}
 	for _, dm := range next.Datasets {
 		for _, ref := range dm.Segments {
 			liveFiles[ref.File] = true
 		}
 	}
-	purged := false
+	var dead []string
 	for _, dm := range old.Datasets {
 		for _, ref := range dm.Segments {
 			if !liveFiles[ref.File] {
-				os.Remove(filepath.Join(s.dir, ref.File))
-				purged = true
+				dead = append(dead, ref.File)
 			}
 		}
 	}
-	if purged {
+	s.mu.Lock()
+	s.man = next
+	for _, st := range seal {
+		if st.cache != nil {
+			s.encs[cacheKey(st.seg.File, nil)] = st.cache
+		}
+		tl := s.tails[st.name]
+		if tl == st.tl {
+			tl.parts = append([]tailPart(nil), tl.parts[len(st.parts):]...)
+			tl.replaced = false
+		}
+		tl.epochBump -= st.bump
+		if len(tl.parts) == 0 && !tl.replaced {
+			delete(s.tails, st.name)
+		}
+	}
+	if len(dead) > 0 {
 		// Drop dead cache entries and stop in-flight reads from
 		// re-inserting them.
 		for key := range s.encs {
-			file, _, _ := strings.Cut(key, "?")
-			if !liveFiles[file] {
+			if file, _, _ := strings.Cut(key, "?"); !liveFiles[file] {
 				delete(s.encs, key)
 			}
 		}
 		s.cacheGen++
 	}
+	s.mu.Unlock()
+
+	for _, file := range dead {
+		os.Remove(filepath.Join(s.dir, file))
+	}
+	for gen := retired; gen < next.WalGen; gen++ {
+		os.Remove(filepath.Join(s.dir, walName(gen)))
+	}
+	if old.Gen > 0 {
+		os.Remove(filepath.Join(s.dir, manifestName(old.Gen)))
+	}
 	return nil
 }
 
-// Close flushes tails to segments and shuts the store down.
-func (s *Store) Close() error {
-	if err := s.Flush(); err != nil {
-		return err
+// manifest is the sealed dataset's next manifest entry, continuing prev
+// (nil for a dataset new since the last flush).
+func (st *sealedTail) manifest(prev *DatasetManifest) DatasetManifest {
+	dm := DatasetManifest{Name: st.name, Schema: st.sch, OrderEpoch: st.bump}
+	if prev != nil {
+		dm.OrderEpoch += prev.OrderEpoch
+		if !st.replaced {
+			dm.Segments = slices.Clone(prev.Segments)
+		}
 	}
+	if st.seg != nil {
+		dm.Segments = append(dm.Segments, *st.seg)
+	}
+	dm.setDicts(st.dicts)
+	return dm
+}
+
+// Close flushes tails to segments and shuts the store down, after any
+// background flush has finished. A failed final flush is returned, and
+// the store still closes: its rows stay in the WAL for the next open.
+func (s *Store) Close() error {
+	err := s.Flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	return s.wal.Close()
+	s.mu.Unlock()
+	s.bg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cerr := s.wal.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
