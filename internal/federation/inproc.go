@@ -21,9 +21,10 @@ import (
 // TCP one. Benchmarks use it to isolate protocol economics from socket
 // noise.
 //
-// A server answers one connection's requests in order, so each call
-// borrows an idle mux and opens another pipe when every mux is busy:
-// concurrent queries run in parallel, as against the provider itself.
+// A server runs one connection's stores, appends and drops in order on
+// its read loop, so each call borrows an idle mux and opens another
+// pipe when every mux is busy: concurrent calls run in parallel, as
+// against the provider itself.
 // Calls carry no request budget, because the provider runs in this
 // process for as long as a direct call would. Each subscription gets a
 // pipe of its own.

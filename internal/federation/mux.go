@@ -35,15 +35,24 @@ import (
 //   - Watermark-only progress frames are droppable (the next batch
 //     carries the mark), so they are discarded instead of overflowing a
 //     busy inbox.
-//   - Request/response replies (result, ack) answer calls in FIFO
-//     order. This is sound because the server's dispatch loop is
-//     sequential per connection: replies come back in request order.
-//     Errors and refusals are routed by ID first (live stream, pending
-//     subscribe, then the oldest call when the ID matches or is 0).
+//   - Execute and ExecuteTo calls carry a nonzero request ID, and the
+//     hello asks the server to run them concurrently and answer each as
+//     it finishes; their replies (result, ack, error, refusal) echo the
+//     ID and are routed by it. A server that ignores the request
+//     answers in request order, with the same IDs, so routing by ID is
+//     right either way.
+//   - Store, append, drop and list calls carry no ID. The server runs
+//     them in order on its read loop, so their replies answer the
+//     oldest such call (FIFO). Only result, ack, error and refusal
+//     frames are peeked for an ID; every other reply is FIFO.
+//   - An error or refusal whose ID names a pending subscribe or a live
+//     stream goes there. A reply whose ID nothing awaits (a call that
+//     timed out, a stream that ended locally) is dropped and counted.
 //
-// Calls are bounded by DialOpts.RequestTimeout. A timed-out call
-// poisons the whole mux: FIFO correlation cannot skip a late reply
-// without crediting it to the next caller.
+// Calls are bounded by DialOpts.RequestTimeout. A timed-out ID call
+// gives up its ID and fails alone; a timed-out FIFO call poisons the
+// whole mux, since FIFO correlation cannot skip a late reply without
+// crediting it to the next caller.
 type Mux struct {
 	name  string
 	addr  string
@@ -60,7 +69,8 @@ type Mux struct {
 	mu          sync.Mutex
 	failErr     error
 	nextID      uint64
-	calls       []*muxCall
+	calls       []*muxCall          // FIFO calls, oldest first
+	idCalls     map[uint64]*muxCall // execute calls, by request ID
 	pendingSubs map[uint64]chan muxReply
 	subs        map[uint64]chan subFrame
 
@@ -91,12 +101,14 @@ var (
 		"Watermark-only progress frames dropped because a subscription's inbox was full (the next batch carries the mark).")
 	metMuxRefusals = obs.Default.Counter("nexus_mux_refusals_total",
 		"Admission-control refusals received over multiplexed connections.")
+	metMuxLateReplies = obs.Default.Counter("nexus_mux_late_replies_total",
+		"Replies dropped because no call or stream awaited their ID (the call timed out, or the stream ended locally).")
 )
 
 // muxCall is one in-flight request/response exchange.
 type muxCall struct {
 	op string
-	id uint64 // the request's wire ID; 0 for store/append/drop
+	id uint64 // the request's wire ID; 0 for the FIFO calls
 	ch chan muxReply
 }
 
@@ -145,7 +157,7 @@ func newMux(conn net.Conn, addr string, opts DialOpts) (*Mux, error) {
 		}
 	}()
 	_ = conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, opts.Trace)); err != nil {
+	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHello(wire.HelloReq{Tenant: opts.Tenant, Trace: opts.Trace, ByID: true})); err != nil {
 		if server.IsTimeout(err) {
 			return nil, &server.TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
 		}
@@ -172,6 +184,7 @@ func newMux(conn net.Conn, addr string, opts DialOpts) (*Mux, error) {
 		opts:        opts,
 		hello:       &h,
 		conn:        conn,
+		idCalls:     map[uint64]*muxCall{},
 		pendingSubs: map[uint64]chan muxReply{},
 		subs:        map[uint64]chan subFrame{},
 		done:        make(chan struct{}),
@@ -209,21 +222,12 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// peekID reads the leading u64 ID every routable payload starts with.
-func peekID(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
 // route dispatches one inbound frame. A non-nil error is a protocol
 // violation that poisons the mux.
 func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 	switch typ {
 	case wire.MsgStreamBatch, wire.MsgWindowState, wire.MsgStreamEnd, wire.MsgCredit, wire.MsgWatermark:
-		id := peekID(payload)
+		id := wire.PeekID(payload)
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		inbox, ok := m.subs[id]
@@ -258,7 +262,7 @@ func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 		// credit protocol.
 		return fmt.Errorf("federation: mux: subscription %d inbox overflow on %v (server overran credit)", id, typ)
 	case wire.MsgSubAck:
-		id := peekID(payload)
+		id := wire.PeekID(payload)
 		m.mu.Lock()
 		ch, ok := m.pendingSubs[id]
 		if ok {
@@ -270,51 +274,14 @@ func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 		}
 		ch <- muxReply{typ: typ, payload: payload}
 		return nil
-	case wire.MsgError, wire.MsgRefused:
+	case wire.MsgResult, wire.MsgAck, wire.MsgError, wire.MsgRefused:
 		if typ == wire.MsgRefused {
 			metMuxRefusals.Inc()
 		}
-		id := peekID(payload)
-		m.mu.Lock()
-		if id != 0 {
-			// A still-pending subscribe wins over the inbox (both are
-			// registered before the request is written): the error IS the
-			// handshake answer — e.g. an admission refusal.
-			if ch, ok := m.pendingSubs[id]; ok {
-				delete(m.pendingSubs, id)
-				m.mu.Unlock()
-				ch <- muxReply{typ: typ, payload: payload}
-				return nil
-			}
-			if inbox, ok := m.subs[id]; ok {
-				// Terminal error for a live stream: must-deliver, and the
-				// inbox's terminal slot is reserved for exactly this.
-				select {
-				case inbox <- subFrame{typ: typ, payload: payload}:
-					m.mu.Unlock()
-					return nil
-				default:
-					m.mu.Unlock()
-					return fmt.Errorf("federation: mux: subscription %d inbox overflow on %v", id, typ)
-				}
-			}
-		}
-		// A reply to the oldest call — but only when the ID agrees
-		// (execute errors echo the call's ID; store/append/drop errors
-		// carry 0). Anything else is an error for a stream that already
-		// ended locally: drop it.
-		if len(m.calls) > 0 && (id == 0 || id == m.calls[0].id) {
-			c := m.calls[0]
-			m.calls = m.calls[1:]
-			m.mu.Unlock()
-			c.ch <- muxReply{typ: typ, payload: payload}
-			return nil
-		}
-		m.mu.Unlock()
-		return nil
+		return m.routeReply(typ, payload)
 	default:
-		// Result, ack, and every other request/response reply: answer
-		// the oldest in-flight call (the server replies in FIFO order).
+		// Every other reply (a list's hello ack, replication data) has no
+		// ID: it answers the oldest FIFO call.
 		m.mu.Lock()
 		if len(m.calls) == 0 {
 			m.mu.Unlock()
@@ -328,6 +295,60 @@ func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 	}
 }
 
+// routeReply delivers a reply that leads with a request ID. A nonzero
+// ID names an execute call or — for an error or refusal — a pending
+// subscribe (the error IS its handshake answer, e.g. an admission
+// refusal) or a live stream (its terminal error); one counter allocates
+// all three, so the ID is unambiguous. ID 0 answers the oldest FIFO
+// call. A reply nobody awaits is dropped and counted.
+func (m *Mux) routeReply(typ wire.MsgType, payload []byte) error {
+	id := wire.PeekID(payload)
+	r := muxReply{typ: typ, payload: payload}
+	isErr := typ == wire.MsgError || typ == wire.MsgRefused
+	m.mu.Lock()
+	var c *muxCall
+	switch {
+	case id == 0 && len(m.calls) > 0:
+		c = m.calls[0]
+		m.calls = m.calls[1:]
+	case id == 0 && !isErr:
+		m.mu.Unlock()
+		return fmt.Errorf("federation: mux: unexpected %v with no call in flight", typ)
+	case id != 0:
+		if c = m.idCalls[id]; c != nil {
+			delete(m.idCalls, id)
+			break
+		}
+		if !isErr {
+			break
+		}
+		if ch, ok := m.pendingSubs[id]; ok {
+			delete(m.pendingSubs, id)
+			m.mu.Unlock()
+			ch <- r
+			return nil
+		}
+		if inbox, ok := m.subs[id]; ok {
+			// Must-deliver, and the inbox's terminal slot is reserved for
+			// exactly this.
+			defer m.mu.Unlock()
+			select {
+			case inbox <- subFrame{typ: typ, payload: payload}:
+				return nil
+			default:
+				return fmt.Errorf("federation: mux: subscription %d inbox overflow on %v", id, typ)
+			}
+		}
+	}
+	m.mu.Unlock()
+	if c == nil {
+		metMuxLateReplies.Inc()
+		return nil
+	}
+	c.ch <- r
+	return nil
+}
+
 // failAll poisons the mux: every in-flight call and pending subscribe
 // gets err, every live subscription's inbox is closed (their readers
 // surface err via subSeverErr), and the connection is closed. The first
@@ -339,6 +360,10 @@ func (m *Mux) failAll(err error) {
 	}
 	calls := m.calls
 	m.calls = nil
+	for _, c := range m.idCalls {
+		calls = append(calls, c)
+	}
+	m.idCalls = map[uint64]*muxCall{}
 	pend := m.pendingSubs
 	m.pendingSubs = map[uint64]chan muxReply{}
 	subs := m.subs
@@ -417,10 +442,10 @@ func (m *Mux) writeRaw(t wire.MsgType, payload []byte) error {
 	return nil
 }
 
-// call runs one request/response exchange: register in the FIFO queue
-// and write under one lock hold (so queue order is wire order), then
-// wait for the demux loop to deliver the answer, bounded by
-// RequestTimeout.
+// call runs one request/response exchange: register the call — by its
+// ID, or in the FIFO queue when id is 0 — and write under one lock hold
+// (so queue order is wire order), then wait for the demux loop to
+// deliver the answer, bounded by RequestTimeout.
 func (m *Mux) call(op string, id uint64, msg wire.MsgType, payload []byte, met *Metrics) (wire.MsgType, []byte, error) {
 	c := &muxCall{op: op, id: id, ch: make(chan muxReply, 1)}
 	m.wmu.Lock()
@@ -431,7 +456,11 @@ func (m *Mux) call(op string, id uint64, msg wire.MsgType, payload []byte, met *
 		m.wmu.Unlock()
 		return 0, nil, err
 	}
-	m.calls = append(m.calls, c)
+	if id != 0 {
+		m.idCalls[id] = c
+	} else {
+		m.calls = append(m.calls, c)
+	}
 	m.mu.Unlock()
 	out, werr := wire.WriteFrame(m.conn, msg, payload)
 	m.wmu.Unlock()
@@ -448,24 +477,36 @@ func (m *Mux) call(op string, id uint64, msg wire.MsgType, payload []byte, met *
 		defer tm.Stop()
 		timeout = tm.C
 	}
+	var r muxReply
 	select {
-	case r := <-c.ch:
-		if r.err != nil {
-			return 0, nil, r.err
-		}
-		if met != nil {
-			met.ClientBytesOut += int64(out)
-			met.ClientBytesIn += int64(5 + len(r.payload))
-			met.RoundTrips++
-		}
-		return r.typ, r.payload, nil
+	case r = <-c.ch:
 	case <-timeout:
 		terr := &server.TimeoutError{Op: op, Addr: m.addr, Elapsed: m.opts.RequestTimeout}
-		// FIFO correlation cannot abandon one reply: a late answer
-		// would be credited to the next call. Poison the whole mux.
-		m.failAll(terr)
-		return 0, nil, terr
+		if id == 0 {
+			// FIFO correlation cannot abandon one reply: a late answer
+			// would be credited to the next call. Poison the whole mux.
+			m.failAll(terr)
+			return 0, nil, terr
+		}
+		// An ID call gives up its ID; a late reply then matches nothing.
+		m.mu.Lock()
+		_, waiting := m.idCalls[id]
+		delete(m.idCalls, id)
+		m.mu.Unlock()
+		if waiting {
+			return 0, nil, terr
+		}
+		r = <-c.ch // the answer was routed as the timer fired
 	}
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	if met != nil {
+		met.ClientBytesOut += int64(out)
+		met.ClientBytesIn += int64(5 + len(r.payload))
+		met.RoundTrips++
+	}
+	return r.typ, r.payload, nil
 }
 
 // ProviderName implements Transport.

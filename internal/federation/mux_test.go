@@ -535,7 +535,7 @@ func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 					sawClose <- err
 					return
 				}
-				if err := tc.reply(conn, peekID(payload)); err != nil {
+				if err := tc.reply(conn, wire.PeekID(payload)); err != nil {
 					sawClose <- err
 					return
 				}

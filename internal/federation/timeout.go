@@ -20,8 +20,10 @@ type DialOpts struct {
 	// handshake — Execute, Store, Append, Drop (default 60s; negative
 	// disables). A server that accepts a request and then goes silent
 	// fails the call with a *server.TimeoutError instead of hanging it
-	// forever; the whole mux is poisoned afterwards, since FIFO
-	// correlation would credit a late reply to the next call.
+	// forever. A timed-out Execute or ExecuteTo fails alone (its late
+	// reply is dropped by ID); after a timed-out Store, Append or Drop
+	// the whole mux is poisoned, since FIFO correlation would credit a
+	// late reply to the next call.
 	RequestTimeout time.Duration
 	// Tenant is the admission-control token sent in the hello exchange.
 	// Servers with per-tenant quotas account this connection's

@@ -12,6 +12,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -304,6 +305,15 @@ type connCtx struct {
 	// pre-hello traffic); admT caches its admission state. Guarded by mu.
 	tenant string
 	admT   *tenantState
+
+	// execSlots is nil until the client's hello asks for execute replies
+	// by ID (wire.HelloReq.ByID); from then on each execute runs on its
+	// own goroutine holding one of its GOMAXPROCS slots. Only the read
+	// loop reads or sets the field. execs tracks those goroutines, and
+	// execErr (guarded by mu) keeps the first reply one failed to write.
+	execSlots chan struct{}
+	execs     sync.WaitGroup
+	execErr   error
 }
 
 // setTenant records the connection's hello-declared tenant token.
@@ -377,9 +387,10 @@ func (cc *connCtx) sub(id uint64) (*subSession, bool) {
 	return s, ok
 }
 
-// serve runs the read loop until the connection ends, then releases any
-// still-running subscriptions. If the peer vanished while subscriptions
-// were live, the terminal error is ErrSubscriberGone.
+// serve runs the read loop until the connection ends, waits for the
+// executes still running off it, then releases any still-running
+// subscriptions. If the peer vanished while subscriptions were live,
+// the terminal error is ErrSubscriberGone.
 func (cc *connCtx) serve() error {
 	metConns.Inc()
 	defer metConns.Dec()
@@ -395,6 +406,7 @@ func (cc *connCtx) serve() error {
 			break
 		}
 	}
+	cc.execs.Wait()
 	// Connection over: mark every live subscription's subscriber gone and
 	// wait for their pipelines to stop. Their queued batches fail with
 	// ErrSubscriberGone rather than disappearing silently.
@@ -411,12 +423,45 @@ func (cc *connCtx) serve() error {
 		<-s.done
 	}
 	cc.mu.Lock()
-	subErr := cc.subErr
+	subErr, execErr := cc.subErr, cc.execErr
 	cc.mu.Unlock()
 	if subErr != nil {
 		return subErr
 	}
+	if execErr != nil {
+		return execErr
+	}
 	return readErr
+}
+
+// runExecute runs one execute request, inline on the read loop like
+// every other frame, or — once the client asked for replies by ID — on
+// a goroutine of its own, so a small query is not answered behind a
+// large one. When every slot is taken the read loop waits for one,
+// which is no worse than running the request inline. A goroutine whose
+// reply cannot be written closes the connection, which ends the read
+// loop as an inline write failure would.
+func (cc *connCtx) runExecute(handle func([]byte) error, payload []byte) error {
+	slots := cc.execSlots
+	if slots == nil {
+		return handle(payload)
+	}
+	slots <- struct{}{}
+	cc.execs.Add(1)
+	go func() {
+		defer cc.execs.Done()
+		err := handle(payload)
+		<-slots
+		if err != nil {
+			cc.mu.Lock()
+			if cc.execErr == nil {
+				cc.execErr = err
+			}
+			cc.mu.Unlock()
+			cc.conn.Close()
+		}
+	}()
+	return nil
 }
 
 func (cc *connCtx) dispatch(typ wire.MsgType, payload []byte) error {
@@ -424,9 +469,9 @@ func (cc *connCtx) dispatch(typ wire.MsgType, payload []byte) error {
 	case wire.MsgHello:
 		return cc.handleHello(payload)
 	case wire.MsgExecute:
-		return cc.handleExecute(payload)
+		return cc.runExecute(cc.handleExecute, payload)
 	case wire.MsgExecuteTo:
-		return cc.handleExecuteTo(payload)
+		return cc.runExecute(cc.handleExecuteTo, payload)
 	case wire.MsgStore:
 		return cc.handleStore(payload)
 	case wire.MsgAppend:
@@ -562,13 +607,16 @@ func (cc *connCtx) handleReplStatus() error {
 func (cc *connCtx) handleHello(payload []byte) error {
 	var sp *trace.Span
 	if len(payload) > 0 {
-		tenant, tc, err := wire.DecodeHelloTrace(payload)
+		req, err := wire.DecodeHello(payload)
 		if err != nil {
 			return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
 		}
-		cc.setTenant(tenant)
-		sp = trace.Default.StartChild(traceCtx(tc), "server.hello")
-		sp.Set(trace.String("tenant", tenant))
+		cc.setTenant(req.Tenant)
+		if req.ByID && cc.execSlots == nil {
+			cc.execSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+		}
+		sp = trace.Default.StartChild(traceCtx(req.Trace), "server.hello")
+		sp.Set(trace.String("tenant", req.Tenant))
 	}
 	defer sp.End(nil)
 	caps := cc.prov.Capabilities()
@@ -595,7 +643,7 @@ func (cc *connCtx) handleHello(payload []byte) error {
 func (cc *connCtx) handleExecute(payload []byte) error {
 	id, plan, tc, err := wire.DecodeExecuteTrace(payload)
 	if err != nil {
-		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
+		return cc.writeFrame(wire.MsgError, wire.EncodeError(wire.PeekID(payload), err.Error()))
 	}
 	sp := trace.Default.StartChild(traceCtx(tc), "server.execute")
 	op := trace.Ops().Begin("query", cc.tenantName(), firstScanDataset(plan), -1, sp.Context())
@@ -640,7 +688,7 @@ func (cc *connCtx) handleExecute(payload []byte) error {
 func (cc *connCtx) handleExecuteTo(payload []byte) error {
 	id, peerAddr, storeAs, plan, tc, err := wire.DecodeExecuteTo(payload)
 	if err != nil {
-		return cc.writeFrame(wire.MsgError, wire.EncodeError(0, err.Error()))
+		return cc.writeFrame(wire.MsgError, wire.EncodeError(wire.PeekID(payload), err.Error()))
 	}
 	if cc.adm != nil {
 		if r := cc.adm.admitScan(cc.tenantState()); r != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -132,6 +133,18 @@ func (m MsgType) String() string {
 		return "refused"
 	}
 	return fmt.Sprintf("msg(%d)", uint8(m))
+}
+
+// PeekID reads the big-endian u64 a payload starts with: the request or
+// subscription ID of every message whose layout leads with one (0 when
+// the payload is shorter). It decodes nothing else, so it is only
+// meaningful for such a message — a MsgHelloAck, say, starts with a
+// string.
+func PeekID(b []byte) uint64 {
+	if len(b) < 8 {
+		return 0
+	}
+	return binary.BigEndian.Uint64(b)
 }
 
 // maxFrame bounds a single message (256 MiB) against corrupt length

@@ -46,7 +46,7 @@ func DecodeExecuteTrace(b []byte) (uint64, core.Node, TraceCtx, error) {
 
 // EncodeResult builds a MsgResult payload.
 func EncodeResult(id uint64, t *table.Table) []byte {
-	var e Encoder
+	e := sizedEncoder(8 + tableSize(t))
 	e.U64(id)
 	PutTable(&e, t)
 	return e.Bytes()
@@ -87,7 +87,7 @@ func EncodeStore(name string, t *table.Table) []byte {
 // EncodeStoreTrace is EncodeStore with a trailing trace-context field
 // — the append-path propagation (omitted when tc is zero).
 func EncodeStoreTrace(name string, t *table.Table, tc TraceCtx) []byte {
-	var e Encoder
+	e := sizedEncoder(4 + len(name) + tableSize(t) + traceCtxLen)
 	e.Str(name)
 	PutTable(&e, t)
 	PutTraceCtx(&e, tc)
@@ -180,43 +180,56 @@ const (
 	RefusedShedding uint32 = 2
 )
 
-// EncodeHello builds a MsgHello payload carrying the client's tenant
-// token. An empty payload (what pre-admission clients send) decodes as
-// the anonymous tenant, so old clients keep working unchanged.
-func EncodeHello(tenant string) []byte {
-	return EncodeHelloTrace(tenant, TraceCtx{})
+// HelloReq is what a client's MsgHello carries.
+type HelloReq struct {
+	// Tenant is the client's tenant token ("" is the anonymous tenant).
+	Tenant string
+	// Trace parents the server's handshake span (zero: untraced).
+	Trace TraceCtx
+	// ByID asks the server to answer execute calls as they finish,
+	// correlated by their request IDs, instead of in request order.
+	ByID bool
 }
 
-// EncodeHelloTrace is EncodeHello with a trailing trace-context field
-// for the handshake span. A traced anonymous hello encodes the empty
-// tenant explicitly — the trace field needs the tenant field in front
-// of it to keep its trailing position.
-func EncodeHelloTrace(tenant string, tc TraceCtx) []byte {
-	if tenant == "" && !tc.Valid() {
+// helloByID is the flag bit HelloReq.ByID sets in the hello's trailing
+// flags byte.
+const helloByID = 1
+
+// EncodeHello builds a MsgHello payload: the tenant, the optional
+// trace-context field, then an optional flags byte. Each field trails
+// the ones an older peer knows, and older peers ignore bytes past
+// them. The zero request encodes as the empty payload pre-admission
+// clients send; anything after the tenant needs the tenant in front of
+// it to keep its position, so a traced or flagged anonymous hello
+// encodes the empty tenant explicitly.
+func EncodeHello(h HelloReq) []byte {
+	if h == (HelloReq{}) {
 		return nil
 	}
 	var e Encoder
-	e.Str(tenant)
-	PutTraceCtx(&e, tc)
+	e.Str(h.Tenant)
+	PutTraceCtx(&e, h.Trace)
+	if h.ByID {
+		e.U8(helloByID)
+	}
 	return e.Bytes()
 }
 
-// DecodeHello parses a MsgHello payload. Empty payloads are the
-// anonymous tenant.
-func DecodeHello(b []byte) (string, error) {
-	tenant, _, err := DecodeHelloTrace(b)
-	return tenant, err
-}
-
-// DecodeHelloTrace parses a MsgHello payload including the optional
-// trace context.
-func DecodeHelloTrace(b []byte) (string, TraceCtx, error) {
+// DecodeHello parses a MsgHello payload. An empty payload is the
+// anonymous, untraced hello of a client that routes replies in request
+// order.
+func DecodeHello(b []byte) (HelloReq, error) {
+	var h HelloReq
 	if len(b) == 0 {
-		return "", TraceCtx{}, nil
+		return h, nil
 	}
 	d := NewDecoder(b)
-	tenant := d.Str()
-	return tenant, GetTraceCtx(d), d.Err()
+	h.Tenant = d.Str()
+	h.Trace = GetTraceCtx(d)
+	if d.Remaining() > 0 {
+		h.ByID = d.U8()&helloByID != 0
+	}
+	return h, d.Err()
 }
 
 // EncodeRefused builds a MsgRefused payload: the request/subscription id

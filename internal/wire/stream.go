@@ -208,7 +208,7 @@ func DecodeSubAck(b []byte) (uint64, schema.Schema, error) {
 // table, its sequence number and the watermark in force when it was
 // emitted (math.MinInt64 before the first event).
 func EncodeStreamBatch(id, seq uint64, watermark int64, t *table.Table) []byte {
-	var e Encoder
+	e := sizedEncoder(24 + tableSize(t))
 	e.U64(id)
 	e.U64(seq)
 	e.I64(watermark)
@@ -264,7 +264,7 @@ func DecodeCredit(b []byte) (uint64, uint32, error) {
 // EncodeStreamPublish builds a MsgStreamPublish payload: one event batch
 // pushed from the subscriber into a StreamSrcPush pipeline.
 func EncodeStreamPublish(id uint64, t *table.Table) []byte {
-	var e Encoder
+	e := sizedEncoder(8 + tableSize(t))
 	e.U64(id)
 	PutTable(&e, t)
 	return e.Bytes()

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"nexus/internal/core"
@@ -78,30 +79,82 @@ func TestTraceCtxAdvisoryDecode(t *testing.T) {
 	}
 }
 
+// The hello layouts before the by-ID flag, written out as bytes: the
+// tenant "acme" untraced, then traced with testTraceCtx, then the traced
+// anonymous hello, which spells out the empty tenant.
+var (
+	oldHelloAcme   = []byte{0, 0, 0, 4, 'a', 'c', 'm', 'e'}
+	oldTraceField  = []byte{traceCtxVersion, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe}
+	oldHelloTraced = append(append([]byte{}, oldHelloAcme...), oldTraceField...)
+	oldHelloAnonTr = append([]byte{0, 0, 0, 0}, oldTraceField...)
+)
+
+// legacyDecodeHello is the hello decoder of a server that predates the
+// by-ID flag: the tenant, the optional trace field, nothing after.
+func legacyDecodeHello(b []byte) (string, TraceCtx, error) {
+	if len(b) == 0 {
+		return "", TraceCtx{}, nil
+	}
+	d := NewDecoder(b)
+	tenant := d.Str()
+	return tenant, GetTraceCtx(d), d.Err()
+}
+
 func TestHelloTraceVersionTolerance(t *testing.T) {
-	want := testTraceCtx()
+	tc := testTraceCtx()
 
-	// New peer -> new peer: tenant and trace both survive.
-	tenant, tc, err := DecodeHelloTrace(EncodeHelloTrace("acme", want))
-	if err != nil || tenant != "acme" || tc != want {
-		t.Fatalf("traced hello round trip: %q %+v %v", tenant, tc, err)
+	// New peer -> new peer: every field survives, in every combination.
+	for _, want := range []HelloReq{
+		{}, {Tenant: "acme"}, {Trace: tc}, {Tenant: "acme", Trace: tc},
+		{ByID: true}, {Tenant: "acme", ByID: true}, {Trace: tc, ByID: true}, {Tenant: "acme", Trace: tc, ByID: true},
+	} {
+		got, err := DecodeHello(EncodeHello(want))
+		if err != nil || got != want {
+			t.Fatalf("hello round trip: %+v -> %+v (err %v)", want, got, err)
+		}
 	}
 
-	// Old frame -> new peer: no field decodes as no trace.
-	tenant, tc, err = DecodeHelloTrace(EncodeHello("acme"))
-	if err != nil || tenant != "acme" || tc.Valid() {
-		t.Fatalf("legacy hello through new decoder: %q %+v %v", tenant, tc, err)
+	// Old frame -> new peer: the fields it has decode, and no flag means
+	// replies in request order.
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		want HelloReq
+	}{
+		{"empty", nil, HelloReq{}},
+		{"tenant", oldHelloAcme, HelloReq{Tenant: "acme"}},
+		{"traced", oldHelloTraced, HelloReq{Tenant: "acme", Trace: tc}},
+		{"traced anonymous", oldHelloAnonTr, HelloReq{Trace: tc}},
+	} {
+		got, err := DecodeHello(c.buf)
+		if err != nil || got != c.want {
+			t.Fatalf("legacy %s hello through new decoder: %+v (err %v), want %+v", c.name, got, err, c.want)
+		}
 	}
 
-	// New frame -> old peer: the legacy decoder ignores the trailer.
-	tenant, err = DecodeHello(EncodeHelloTrace("acme", want))
-	if err != nil || tenant != "acme" {
-		t.Fatalf("traced hello through legacy decoder: %q %v", tenant, err)
+	// Without the flag, the new encoder writes the old bytes exactly.
+	for _, c := range []struct {
+		req  HelloReq
+		want []byte
+	}{
+		{HelloReq{}, nil},
+		{HelloReq{Tenant: "acme"}, oldHelloAcme},
+		{HelloReq{Tenant: "acme", Trace: tc}, oldHelloTraced},
+		{HelloReq{Trace: tc}, oldHelloAnonTr},
+	} {
+		if got := EncodeHello(c.req); !bytes.Equal(got, c.want) {
+			t.Fatalf("%+v encodes % x, want the old layout % x", c.req, got, c.want)
+		}
 	}
 
-	// The empty hello (no payload at all) still decodes.
-	if tenant, tc, err = DecodeHelloTrace(nil); err != nil || tenant != "" || tc.Valid() {
-		t.Fatalf("empty hello: %q %+v %v", tenant, tc, err)
+	// New frame -> old peer: the legacy decoder ignores the flag byte.
+	for _, req := range []HelloReq{
+		{ByID: true}, {Tenant: "acme", ByID: true}, {Trace: tc, ByID: true}, {Tenant: "acme", Trace: tc, ByID: true},
+	} {
+		tenant, gotTC, err := legacyDecodeHello(EncodeHello(req))
+		if err != nil || tenant != req.Tenant || gotTC != req.Trace {
+			t.Fatalf("flagged hello %+v through legacy decoder: %q %+v %v", req, tenant, gotTC, err)
+		}
 	}
 }
 

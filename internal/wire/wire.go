@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"nexus/internal/schema"
 	"nexus/internal/table"
@@ -23,6 +25,10 @@ import (
 type Encoder struct {
 	buf []byte
 }
+
+// sizedEncoder returns an Encoder whose buffer is preallocated for n
+// bytes, so an encoding whose size is known up front never regrows it.
+func sizedEncoder(n int) Encoder { return Encoder{buf: make([]byte, 0, n)} }
 
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -69,10 +75,11 @@ func (e *Encoder) Str(s string) {
 // Raw appends bytes verbatim (caller framed them already).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
-// grow extends the buffer by n bytes and returns the new region.
+// grow extends the buffer by n bytes, in place when its capacity
+// allows, and returns the new region for the caller to overwrite.
 func (e *Encoder) grow(n int) []byte {
 	at := len(e.buf)
-	e.buf = append(e.buf, make([]byte, n)...)
+	e.buf = slices.Grow(e.buf, n)[:at+n]
 	return e.buf[at:]
 }
 
@@ -109,6 +116,7 @@ func (e *Encoder) U32s(vs []uint32) {
 func (e *Encoder) Bools(vs []bool) {
 	b := e.grow(len(vs))
 	for i, v := range vs {
+		b[i] = 0
 		if v {
 			b[i] = 1
 		}
@@ -249,16 +257,43 @@ func (d *Decoder) Bools(n int) []bool {
 	return vs
 }
 
-// Strs reads n length-prefixed strings; each needs at least its u32
-// length, which bounds n before the slice is allocated.
+// Strs reads n length-prefixed strings into one arena: the strings are
+// substrings of a single string holding all their bytes back to back,
+// so decoding a column costs two allocations however many rows it has.
+// A kept substring pins its whole column's arena. Each string needs at
+// least its u32 length, which bounds n before the slice is allocated.
 func (d *Decoder) Strs(n int) []string {
 	if d.err != nil || n < 0 || n > d.Remaining()/4 {
 		d.fail("strings")
 		return nil
 	}
+	// First pass: check every length against the input and sum them, so
+	// the arena is allocated once, at its exact size.
+	start, total := d.off, 0
+	for i := 0; i < n; i++ {
+		m := int(d.U32())
+		if d.err != nil || m > d.Remaining() {
+			d.fail("string")
+			return nil
+		}
+		d.off += m
+		total += m
+	}
+	var arena strings.Builder
+	arena.Grow(total)
+	for off := start; off < d.off; {
+		m := int(binary.BigEndian.Uint32(d.buf[off:]))
+		arena.Write(d.buf[off+4 : off+4+m])
+		off += 4 + m
+	}
+	all := arena.String()
 	vs := make([]string, n)
-	for i := range vs {
-		vs[i] = d.Str()
+	at := 0
+	for i, off := 0, start; i < n; i++ {
+		m := int(binary.BigEndian.Uint32(d.buf[off:]))
+		vs[i] = all[at : at+m]
+		at += m
+		off += 4 + m
 	}
 	return vs
 }
@@ -367,6 +402,39 @@ func PutTable(e *Encoder, t *table.Table) {
 	}
 }
 
+// tableSize is the exact length of PutTable's encoding of t, so the
+// result, store and stream codecs allocate their frame once.
+func tableSize(t *table.Table) int {
+	sch := t.Schema()
+	n := 4 + 4 // attribute count, row count
+	for i := 0; i < sch.Len(); i++ {
+		n += 4 + len(sch.At(i).Name) + 2
+	}
+	for c := 0; c < t.NumCols(); c++ {
+		n += columnSize(t.Col(c))
+	}
+	return n
+}
+
+// columnSize is the exact length of PutColumn's encoding of col.
+func columnSize(col *table.Column) int {
+	n := 1
+	if col.HasNulls() {
+		n += col.Len()
+	}
+	switch col.Kind() {
+	case value.KindBool:
+		n += col.Len()
+	case value.KindInt64, value.KindFloat64:
+		n += 8 * col.Len()
+	case value.KindString:
+		for _, v := range col.Strs() {
+			n += 4 + len(v)
+		}
+	}
+	return n
+}
+
 // PutColumn encodes one column: bool hasNulls | [rows validity bools] |
 // raw values. The row count and kind travel outside (table header,
 // segment page header).
@@ -458,7 +526,7 @@ func GetTable(d *Decoder) *table.Table {
 
 // EncodeTable returns the byte encoding of a table.
 func EncodeTable(t *table.Table) []byte {
-	var e Encoder
+	e := sizedEncoder(tableSize(t))
 	PutTable(&e, t)
 	return e.Bytes()
 }
